@@ -10,6 +10,12 @@ EvalScheduler::EvalScheduler(TuningContext& ctx, SchedulerOptions options)
   if (options_.inflight == 0) options_.inflight = 1;
 }
 
+EvalScheduler::~EvalScheduler() {
+  for (InFlight& flight : window_) {
+    if (flight.pending.valid()) flight.pending.wait();
+  }
+}
+
 double EvalScheduler::avg_inflight() const {
   return inflight_samples_ > 0 ? static_cast<double>(inflight_sum_) /
                                      static_cast<double>(inflight_samples_)

@@ -38,6 +38,12 @@ struct SchedulerOptions {
 class EvalScheduler {
  public:
   explicit EvalScheduler(TuningContext& ctx, SchedulerOptions options = {});
+  /// Waits for the measurements still on the pool: a run() that unwound (a
+  /// throwing strategy, a failed journal write, replay divergence) leaves
+  /// tasks that read this scheduler and its context.
+  ~EvalScheduler();
+  EvalScheduler(const EvalScheduler&) = delete;
+  EvalScheduler& operator=(const EvalScheduler&) = delete;
 
   /// Drives the strategy to completion: begin, fill/deliver until the
   /// strategy stops proposing or the committed budget is exhausted and the

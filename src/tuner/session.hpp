@@ -1,9 +1,11 @@
 // TuningSession: one (workload, tuner, budget) experiment, end to end.
 //
 // This is the library's top-level entry point — the thing bench binaries
-// and examples drive. It measures the default configuration first (the
-// baseline the paper reports improvement against), hands the tuner a
-// context wired to a budget clock and a result log, and packages the
+// and examples drive. It builds the evaluator chain for one workload,
+// measures the default configuration first (the baseline the paper reports
+// improvement against), runs an ask/tell SearchStrategy through the
+// EvalScheduler (the wiring it shares with SuiteTuningSession lives in
+// tuner/session_core.hpp), re-validates the winner, and packages the
 // outcome.
 #pragma once
 
@@ -35,7 +37,7 @@ struct SessionOptions {
   /// Worker threads for pipelined evaluation (0 = serial). Parallelism
   /// changes wall-clock only; each run's seed depends only on its
   /// configuration, and the scheduler's committed-ledger admission keeps
-  /// native strategies' outcomes identical for any thread count.
+  /// outcomes identical for any thread count.
   std::size_t eval_threads = 0;
   /// Maximum evaluations the scheduler keeps in flight. Part of the search
   /// trajectory (it bounds speculation), deliberately independent of
@@ -165,10 +167,6 @@ class TuningSession {
   /// EvalScheduler and returns the outcome. Deterministic for fixed
   /// options and any eval_threads (see the contract in tuner/strategy.hpp).
   TuningOutcome run(SearchStrategy& strategy);
-  /// Legacy entry point: wraps the tuner in a LegacyTunerAdapter. Only as
-  /// deterministic as the tune() loop itself — resume is not supported for
-  /// legacy tuners (their proposal order is not reproducible).
-  TuningOutcome run(Tuner& tuner);
 
   /// Resumes a journaled session: validates the journal's metadata against
   /// this session's options (throwing a field-level JournalError on any

@@ -4,10 +4,10 @@
 // decouple *proposal* from *measurement*: the search algorithm is a state
 // machine that emits candidate configurations on demand (ask) and absorbs
 // results as they complete (tell), and a scheduler pipelines measurement
-// around it. This inverts the legacy Tuner::tune() control flow — instead
-// of the algorithm blocking on every evaluate(), the EvalScheduler
+// around it. The algorithm never blocks on a measurement: the EvalScheduler
 // (tuner/scheduler.hpp) keeps a bounded window of evaluations in flight
-// and feeds results back in proposal order.
+// and feeds results back in proposal order. This is the only way a search
+// runs.
 //
 // Determinism contract (the part that makes parallel evaluation safe to
 // enable by default):
@@ -65,9 +65,7 @@ struct Observation {
 };
 
 /// The strategy's deterministic window onto the session. All accessors
-/// reflect committed state (see the determinism contract above); the
-/// underlying TuningContext is reachable for adapters that need the raw
-/// evaluator/budget/db plumbing.
+/// reflect committed state (see the determinism contract above).
 class StrategyContext {
  public:
   const SearchSpace& space() const { return tuning_->space(); }
@@ -103,10 +101,6 @@ class StrategyContext {
   void trace_event(TraceEvent event) {
     tuning_->trace_event(std::move(event));
   }
-
-  /// Escape hatch for adapters; using it for evaluation from a strategy
-  /// bypasses the scheduler (and its determinism guarantees).
-  TuningContext& tuning_context() { return *tuning_; }
 
  private:
   friend class EvalScheduler;

@@ -2,18 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <set>
+#include <utility>
 
-#include "flags/parse.hpp"
-#include "tuner/legacy_adapter.hpp"
-#include "tuner/scheduler.hpp"
-#include "tuner/warm_start.hpp"
+#include "tuner/session_core.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/units.hpp"
 
 namespace jat {
+namespace {
+
+/// Warm-start transfer, suite flavour: round-robin over the members' store
+/// namespaces (rank 0 of every member, then rank 1, ...) up to k seeds, so
+/// no single workload's history dominates the seed set.
+SessionCore::WarmSeeds pick_suite_store_seeds(
+    const ResultStore& store, const FlagRegistry& registry,
+    const std::vector<WorkloadSpec>& workloads, const std::string& objective_id,
+    std::size_t k) {
+  const std::uint64_t space_fp = space_fingerprint(registry);
+  SessionCore::WarmSeeds seeds;
+  std::set<std::uint64_t> seen{Configuration(registry).fingerprint()};
+  for (std::size_t rank = 0; rank < k && seeds.configs.size() < k; ++rank) {
+    for (const WorkloadSpec& workload : workloads) {
+      if (seeds.configs.size() >= k) break;
+      const auto records = store.top_k(space_fp, workload_fingerprint(workload),
+                                       objective_id, rank + 1);
+      if (records.size() <= rank) continue;
+      const StoreRecord* rec = records[rank];
+      if (!seen.insert(rec->key.config_fingerprint).second) continue;
+      if (auto config = stored_config(registry, *rec)) {
+        seeds.configs.push_back(std::move(*config));
+      }
+    }
+  }
+  return seeds;
+}
+
+}  // namespace
 
 SuiteRunner::SuiteRunner(const JvmSimulator& simulator,
                          std::vector<WorkloadSpec> workloads,
@@ -109,11 +135,17 @@ Measurement SuiteRunner::measure(const Configuration& config,
 SuiteTuningSession::SuiteTuningSession(const JvmSimulator& simulator,
                                        std::vector<WorkloadSpec> workloads,
                                        SessionOptions options)
-    : simulator_(&simulator), workloads_(std::move(workloads)), options_(options) {}
-
-SuiteOutcome SuiteTuningSession::run(Tuner& tuner) {
-  LegacyTunerAdapter adapter(tuner);
-  return run(adapter);
+    : simulator_(&simulator), workloads_(std::move(workloads)), options_(options) {
+  const std::pair<bool, const char*> unsupported[] = {
+      {options_.racing_factor != 0.0, "racing_factor"},
+      {options_.resilient, "resilient"},
+      {options_.fault_injection.any(), "fault_injection"},
+      {options_.trace != nullptr, "trace"}};
+  for (const auto& [set, option] : unsupported) {
+    if (!set) continue;
+    throw TunerError(std::string("SuiteTuningSession: option '") + option +
+                     "' is not supported for suite sessions");
+  }
 }
 
 SuiteOutcome SuiteTuningSession::run(SearchStrategy& strategy) {
@@ -127,60 +159,27 @@ SuiteOutcome SuiteTuningSession::resume(SessionJournal& journal,
 
 JournalMeta SuiteTuningSession::journal_meta(
     const std::string& tuner_name) const {
-  const SearchSpace space(FlagHierarchy::hotspot());
-  JournalMeta meta;
-  meta.objective =
-      options_.objective ? options_.objective->id() : std::string("run_time");
-  meta.version = SessionJournal::version_for_objective(meta.objective);
-  meta.kind = "suite";
+  std::string members;
   for (const WorkloadSpec& workload : workloads_) {
-    if (!meta.workload.empty()) meta.workload += ',';
-    meta.workload += workload.name;
+    if (!members.empty()) members += ',';
+    members += workload.name;
   }
-  meta.tuner = tuner_name;
-  meta.seed = options_.seed;
-  meta.budget = options_.budget;
-  meta.repetitions = options_.repetitions;
-  meta.inflight = options_.inflight;
-  meta.eval_threads = options_.eval_threads;
-  meta.per_run_overhead_s = options_.per_run_overhead_s;
-  meta.racing_factor = 0.0;  // the suite runner does not race
-  meta.adaptive = options_.measurement.adaptive;
-  meta.min_reps = options_.measurement.min_reps;
-  meta.max_reps = options_.measurement.max_reps;
-  meta.ci_rel = options_.measurement.ci_rel;
-  meta.race_p = options_.measurement.race_p;
-  meta.space_fingerprint = space_fingerprint(space.registry());
-  meta.resilient = false;
-  meta.fault_fingerprint = 0;
-  return meta;
+  return session_journal_meta(options_, "suite", std::move(members),
+                              tuner_name);
 }
 
 SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
                                               SessionJournal* journal,
                                               bool resuming) {
-  RunnerOptions runner_options;
-  runner_options.repetitions = options_.repetitions;
-  runner_options.seed = options_.seed;
-  runner_options.per_run_overhead_s = options_.per_run_overhead_s;
   // Members converge individually under the policy (CI stop only — no
-  // incumbent hints cross the suite boundary; see SuiteRunner::measure).
-  runner_options.policy = options_.measurement;
-  // Members are scored with the session objective; the suite-level context
-  // stays on run_time semantics because the suite measurement is already a
-  // scalar score (one "repetition" whose value *is* the objective).
-  runner_options.objective = options_.objective;
-  // The store tier lives in the *member* runners: each workload's
-  // measurements are answered from (and published to) its own store
-  // namespace, so a suite session shares results with the single-workload
-  // sessions that tuned its members.
-  runner_options.store = options_.store;
-  runner_options.store_reads = options_.store_reads;
-  SuiteRunner runner(*simulator_, workloads_, runner_options);
+  // incumbent hints cross the suite boundary; see SuiteRunner::measure) and
+  // are scored with the session objective. The store tier lives in the
+  // member runners: each workload's measurements are answered from (and
+  // published to) its own store namespace, so a suite session shares
+  // results with the single-workload sessions that tuned its members.
+  SuiteRunner runner(*simulator_, workloads_, session_runner_options(options_));
   runner.set_cancellation(options_.cancel);
 
-  BudgetClock budget(options_.budget);
-  auto db = std::make_shared<ResultDb>();
   const SearchSpace space(FlagHierarchy::hotspot());
 
   if (options_.store != nullptr) {
@@ -201,108 +200,28 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
     evaluator = sandbox.get();
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.eval_threads > 0) {
-    pool = std::make_unique<ThreadPool>(options_.eval_threads);
-  }
-
-  if (journal != nullptr) {
-    const JournalMeta meta = journal_meta(strategy.name());
-    if (resuming) {
-      validate_resume_meta(journal->meta(), meta);
-    } else if (journal->has_meta()) {
-      throw JournalError("journal '" + journal->path() +
-                         "' already holds a session; use resume()");
-    } else {
-      journal->write_meta(meta);
-    }
-  }
-
-  Rng rng(mix64(options_.seed, fnv1a64("suite:" + strategy.name())));
-  TuningContext ctx(*evaluator, budget, *db, space, rng, pool.get());
-  // The suite objective is a single score (one "repetition"), so adaptive
-  // racing/top-up never engages at the suite level; recording the policy on
-  // the context keeps journal metadata and session behaviour aligned.
-  ctx.set_measurement_policy(options_.measurement);
-  ctx.set_journal(journal);
-  ctx.set_cancellation(options_.cancel);
-  if (resuming) ctx.set_replay(&journal->committed());
-
-  ctx.set_phase("default");
-  const Configuration defaults(space.registry());
-  const bool base_replayed = ctx.replaying();
-  TuningContext::MeasuredEval base =
-      base_replayed ? ctx.replay_next(defaults) : ctx.measure_only(defaults);
-  ctx.commit(defaults, base, base_replayed);  // score 1000 by construction
-
-  // Warm-start transfer, suite flavour: round-robin over the members'
-  // store namespaces (rank-0 of every member, then rank-1, ...) up to
-  // warm_start seeds, so no single workload's history dominates the seed
-  // set. On resume the seed list is rebuilt from the journal's own
-  // warm_start records, exactly as in TuningSession.
-  std::vector<Configuration> warm_seeds;
-  if (resuming && journal != nullptr) {
-    for (const JournalEval& rec : journal->committed()) {
-      if (rec.phase != "warm_start") continue;
-      warm_seeds.push_back(
-          parse_command_line(space.registry(), rec.command_line));
-    }
-  } else if (options_.store != nullptr && options_.warm_start > 0) {
-    const std::uint64_t space_fp = space_fingerprint(space.registry());
-    const std::string objective_id =
-        options_.objective ? options_.objective->id() : std::string("run_time");
-    const std::size_t k = static_cast<std::size_t>(options_.warm_start);
-    std::set<std::uint64_t> seen{defaults.fingerprint()};
-    for (std::size_t rank = 0; rank < k && warm_seeds.size() < k; ++rank) {
-      for (const WorkloadSpec& workload : workloads_) {
-        if (warm_seeds.size() >= k) break;
-        const auto records = options_.store->top_k(
-            space_fp, workload_fingerprint(workload), objective_id, rank + 1);
-        if (records.size() <= rank) continue;
-        const StoreRecord* rec = records[rank];
-        if (!seen.insert(rec->key.config_fingerprint).second) continue;
-        try {
-          Configuration cfg =
-              parse_command_line(space.registry(), rec->command_line);
-          if (cfg.fingerprint() != rec->key.config_fingerprint) continue;
-          warm_seeds.push_back(std::move(cfg));
-        } catch (const Error& e) {
-          log_warn() << "suite warm-start: cannot parse stored config: "
-                     << e.what();
-        }
-      }
-    }
-  }
-  const std::int64_t warm_seed_count =
-      static_cast<std::int64_t>(warm_seeds.size());
-  std::optional<WarmStartStrategy> warm;
-  SearchStrategy* active = &strategy;
-  if (!warm_seeds.empty()) {
-    warm.emplace(strategy, std::move(warm_seeds));
-    active = &*warm;
-  }
-
-  EvalScheduler scheduler(ctx, SchedulerOptions{options_.inflight});
-  scheduler.run(*active);
-
-  if (resuming && ctx.replaying()) {
-    log_warn() << "journal " << journal->path() << ": "
-               << (ctx.replay_total() - ctx.replay_cursor())
-               << " committed record(s) were not re-proposed by the "
-                  "strategy — wrong journal or changed code?";
-  }
+  // The suite-level context scores on run_time semantics: the suite
+  // measurement is already a scalar score (one "repetition" whose value *is*
+  // the objective), so adaptive racing and top-up never engage here.
+  SessionCore core(options_, space, *evaluator, run_time_objective(),
+                   journal_meta(strategy.name()),
+                   Rng(mix64(options_.seed, fnv1a64("suite:" + strategy.name()))),
+                   /*trace=*/nullptr, journal, resuming);
+  core.baseline();  // score 1000 by construction
+  core.search(strategy, [&] {
+    return pick_suite_store_seeds(
+        *options_.store, space.registry(), workloads_,
+        options_.objective ? options_.objective->id() : std::string("run_time"),
+        static_cast<std::size_t>(options_.warm_start));
+  });
 
   if (sandbox) sandbox->shutdown();
 
   // Validation pass with fresh seeds.
-  RunnerOptions validation_options = runner_options;
-  validation_options.seed = mix64(options_.seed, fnv1a64("validation"));
-  validation_options.repetitions = std::max(5, options_.repetitions);
-  validation_options.policy = MeasurementPolicyOptions{};  // no early stops
-  validation_options.store = nullptr;  // fresh seeds: never store-answered
-  SuiteRunner validator(*simulator_, workloads_, validation_options);
+  SuiteRunner validator(*simulator_, workloads_,
+                        validation_runner_options(options_));
 
-  Configuration best_config = ctx.best_config();
+  Configuration best_config = core.context().best_config();
   const auto tuned_each = validator.measure_each(best_config, nullptr);
 
   SuiteOutcome outcome{.tuner_name = strategy.name(),
@@ -310,14 +229,14 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
                        .geomean_ratio = 1.0,
                        .per_workload_improvement = {},
                        .workload_names = {},
-                       .evaluations = static_cast<std::int64_t>(db->size()),
+                       .evaluations = static_cast<std::int64_t>(core.db()->size()),
                        .store_hits = runner.store_hits(),
                        .store_appends = runner.store_appends(),
-                       .warm_seeds = warm_seed_count,
-                       .charged_evaluations = ctx.charged_evaluations(),
-                       .budget_spent = budget.spent(),
-                       .db = db,
-                       .cancelled = scheduler.cancelled_run()};
+                       .warm_seeds = core.warm_seeds(),
+                       .charged_evaluations = core.context().charged_evaluations(),
+                       .budget_spent = core.budget().spent(),
+                       .db = core.db(),
+                       .cancelled = core.cancelled()};
 
   double log_sum = 0;
   bool any_crash = false;
@@ -334,7 +253,7 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
   }
   if (any_crash) {
     // The general configuration must run everywhere; fall back to defaults.
-    outcome.best_config = defaults;
+    outcome.best_config = core.defaults();
     outcome.geomean_ratio = 1.0;
     std::fill(outcome.per_workload_improvement.begin(),
               outcome.per_workload_improvement.end(), 0.0);
@@ -342,21 +261,15 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
     outcome.geomean_ratio =
         std::exp(log_sum / static_cast<double>(tuned_each.size()));
     if (outcome.geomean_ratio > 1.0) {
-      outcome.best_config = defaults;
+      outcome.best_config = core.defaults();
       outcome.geomean_ratio = 1.0;
       std::fill(outcome.per_workload_improvement.begin(),
                 outcome.per_workload_improvement.end(), 0.0);
     }
   }
 
-  if (journal != nullptr) {
-    if (!outcome.cancelled) {
-      journal->append_end(outcome.best_config.fingerprint(),
-                          outcome.geomean_ratio * 1000.0, 1000.0,
-                          outcome.evaluations);
-    }
-    journal->flush();
-  }
+  core.close(outcome.best_config.fingerprint(),
+             outcome.geomean_ratio * 1000.0, 1000.0);
 
   log_info() << "suite tuning with " << strategy.name() << ": geomean improvement "
              << format_percent(outcome.improvement_frac()) << " over "

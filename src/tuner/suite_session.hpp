@@ -5,7 +5,7 @@
 // how much a single configuration tuned for the *suite* can recover.
 // SuiteRunner aggregates per-workload measurements into one objective (the
 // geometric mean of run times normalised to each workload's default), and
-// SuiteTuningSession drives any Tuner against it. bench_t9_general
+// SuiteTuningSession runs any SearchStrategy against it. bench_t9_general
 // compares the result against per-benchmark tuning.
 #pragma once
 
@@ -93,17 +93,19 @@ struct SuiteOutcome {
 
 class SuiteTuningSession {
  public:
+  /// Throws TunerError, before anything is measured, when `options` asks
+  /// for something a suite candidate — one normalised score from plain
+  /// member runners — cannot honour: racing_factor, resilient,
+  /// fault_injection or trace.
   SuiteTuningSession(const JvmSimulator& simulator,
                      std::vector<WorkloadSpec> workloads,
                      SessionOptions options = {});
 
-  /// Tunes one configuration against the whole suite. The budget covers
-  /// the complete session (a candidate costs the sum of its per-workload
-  /// runs), like tuning against a composite benchmark.
-  /// Runs one strategy through the EvalScheduler against the whole suite.
+  /// Tunes one configuration against the whole suite by running one
+  /// strategy through the EvalScheduler. The budget covers the complete
+  /// session (a candidate costs the sum of its per-workload runs), like
+  /// tuning against a composite benchmark.
   SuiteOutcome run(SearchStrategy& strategy);
-  /// Legacy entry point: wraps the tuner in a LegacyTunerAdapter.
-  SuiteOutcome run(Tuner& tuner);
 
   /// Resumes a journaled suite session (see TuningSession::resume). Member
   /// runner caches cannot be reseeded from the journal (per-member times

@@ -44,45 +44,13 @@ IncumbentSnapshot TuningContext::incumbent_snapshot() const {
   return snapshot;
 }
 
-std::string TuningContext::resolve_phase(const std::string& phase) const {
-  if (!phase.empty()) return phase;
-  std::lock_guard lock(mutex_);
-  return phase_;
-}
-
-double TuningContext::record(const Configuration& config,
-                             const Measurement& m, const std::string& phase) {
-  const double objective = m.objective(*objective_);
-  const std::uint64_t fingerprint = config.fingerprint();
-  const std::string label = resolve_phase(phase);
-  db_->record(fingerprint, objective, budget_->spent(),
-              config.render_command_line(), label, m.fault, m.crash_reason,
-              m.attempts, m.stop, &m);
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEvent("eval", budget_->spent())
-                     .with("fingerprint", fingerprint_hex(fingerprint))
-                     .with("objective_ms", objective)
-                     .with("phase", label)
-                     .with("fault", std::string(to_string(m.fault)))
-                     .with("attempts", static_cast<std::int64_t>(m.attempts)));
-    trace_->metrics().add("tuner.evaluations");
-    if (m.stop != StopReason::kFull) {
-      trace_->emit(
-          TraceEvent("rep_stop", budget_->spent())
-              .with("fingerprint", fingerprint_hex(fingerprint))
-              .with("stop", std::string(to_string(m.stop)))
-              .with("reps", static_cast<std::int64_t>(m.times_ms.size()))
-              .with("failed_reps", static_cast<std::int64_t>(m.failed_reps)));
-      trace_->metrics().add(std::string("policy.") + to_string(m.stop));
-    }
-  }
-  consider(config, fingerprint, m, label);
-  return objective;
-}
-
 double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
                              bool replayed, const std::string& phase) {
-  const std::string label = resolve_phase(phase);
+  std::string label = phase;
+  if (label.empty()) {
+    std::lock_guard lock(mutex_);
+    label = phase_;
+  }
   MeasuredEval& applied = eval;
   // Top-up: a raced-out measurement was cut short *because* it looked worse
   // than the incumbent at the time — but if it still displaces the incumbent
@@ -138,7 +106,33 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
   // seeds never count — the ≥25%-fewer-charged-evaluations acceptance
   // criterion compares real measurement work, not replayed records.
   if (applied.cost > SimTime::zero()) ++charged_evals_;
-  return record(config, applied.measurement, label);
+  // Apply: ResultDb row, eval trace event, and the incumbent update.
+  const Measurement& m = applied.measurement;
+  const double objective = m.objective(*objective_);
+  const std::uint64_t fingerprint = config.fingerprint();
+  db_->record(fingerprint, objective, budget_->spent(),
+              config.render_command_line(), label, m.fault, m.crash_reason,
+              m.attempts, m.stop, &m);
+  if (trace_ != nullptr) {
+    trace_->emit(TraceEvent("eval", budget_->spent())
+                     .with("fingerprint", fingerprint_hex(fingerprint))
+                     .with("objective_ms", objective)
+                     .with("phase", label)
+                     .with("fault", std::string(to_string(m.fault)))
+                     .with("attempts", static_cast<std::int64_t>(m.attempts)));
+    trace_->metrics().add("tuner.evaluations");
+    if (m.stop != StopReason::kFull) {
+      trace_->emit(
+          TraceEvent("rep_stop", budget_->spent())
+              .with("fingerprint", fingerprint_hex(fingerprint))
+              .with("stop", std::string(to_string(m.stop)))
+              .with("reps", static_cast<std::int64_t>(m.times_ms.size()))
+              .with("failed_reps", static_cast<std::int64_t>(m.failed_reps)));
+      trace_->metrics().add(std::string("policy.") + to_string(m.stop));
+    }
+  }
+  consider(config, fingerprint, m, label);
+  return objective;
 }
 
 TuningContext::MeasuredEval TuningContext::replay_next(
@@ -159,45 +153,6 @@ TuningContext::MeasuredEval TuningContext::replay_next(
   return MeasuredEval{rec.to_measurement(), rec.cost};
 }
 
-double TuningContext::evaluate(const Configuration& config) {
-  EvalHints hints;
-  if (policy_.adaptive) hints.incumbent = incumbent_snapshot();
-  const Measurement m = evaluator_->measure(config, budget_, hints);
-  return record(config, m);
-}
-
-std::vector<double> TuningContext::evaluate_batch(
-    const std::vector<Configuration>& configs) {
-  std::vector<double> objectives(configs.size(),
-                                 std::numeric_limits<double>::infinity());
-  if (pool_ == nullptr || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (i > 0 && budget_->exhausted()) break;  // match serial tuner loops
-      objectives[i] = evaluate(configs[i]);
-    }
-    return objectives;
-  }
-  // Admission decided serially, in index order, before any worker runs:
-  // reserve an estimated per-eval cost for each member and stop admitting
-  // once reservations cover the remaining budget. Workers release their
-  // reservation when the real charge lands, so the clock can overshoot by
-  // at most the estimation error of the runs actually in flight — never by
-  // a whole run per worker.
-  const std::size_t done = db_->size();
-  const SimTime estimate =
-      done > 0 ? budget_->spent() * (1.0 / static_cast<double>(done))
-               : SimTime::zero();
-  std::size_t admitted = 0;
-  while (admitted < configs.size() && budget_->try_reserve(estimate)) {
-    ++admitted;
-  }
-  pool_->parallel_for(admitted, [&](std::size_t i) {
-    objectives[i] = evaluate(configs[i]);
-    budget_->release(estimate);
-  });
-  return objectives;
-}
-
 Configuration TuningContext::best_config() const {
   std::lock_guard lock(mutex_);
   if (!best_config_.has_value()) {
@@ -214,9 +169,7 @@ double TuningContext::best_objective() const {
 bool TuningContext::improves_locked(double objective,
                                     std::uint64_t fingerprint) const {
   // Strict lexicographic (objective, fingerprint) order: among equal
-  // objectives the lowest fingerprint wins, so the incumbent after a
-  // parallel batch is independent of completion order (the reduction is a
-  // commutative min).
+  // objectives the lowest fingerprint wins.
   return !best_config_.has_value() || objective < best_objective_ ||
          (objective == best_objective_ && fingerprint < best_fingerprint_);
 }

@@ -1,4 +1,4 @@
-// The tuner interface and the context a tuning session hands to it.
+// The context a tuning session evaluates through.
 #pragma once
 
 #include <memory>
@@ -24,32 +24,24 @@
 
 namespace jat {
 
-/// Everything a tuner needs: evaluation, budget, randomness, and the
-/// incumbent. Evaluations are logged to the ResultDb automatically.
-///
-/// The evaluation entry points are virtual so the ask/tell scheduler's
-/// LegacyTunerAdapter can substitute a proxy that routes a legacy
-/// Tuner::tune() loop through the bounded in-flight window (see
-/// tuner/legacy_adapter.hpp) while incumbent/db state stays shared.
+/// The session state one search runs against: evaluator chain, budget,
+/// result log, randomness, and the incumbent. The EvalScheduler
+/// (tuner/scheduler.hpp) measures through measure_only() on worker threads
+/// and applies each result with commit() on its control thread; strategies
+/// see it only through the committed StrategyContext (tuner/strategy.hpp).
 class TuningContext {
  public:
   TuningContext(Evaluator& evaluator, BudgetClock& budget, ResultDb& db,
                 const SearchSpace& space, Rng rng, ThreadPool* pool = nullptr,
                 TraceSink* trace = nullptr);
-  virtual ~TuningContext() = default;
 
   const SearchSpace& space() const { return *space_; }
   Rng& rng() { return rng_; }
   BudgetClock& budget() { return *budget_; }
   ResultDb& db() { return *db_; }
-  Evaluator& evaluator() { return *evaluator_; }
   ThreadPool* pool() { return pool_; }
 
-  bool exhausted() const { return budget_->exhausted(); }
-
-  /// The session's trace sink, or nullptr when tracing is disabled. Tuners
-  /// use trace_event() instead and only pay when a sink is attached.
-  TraceSink* trace() { return trace_; }
+  /// True when a trace sink is attached.
   bool tracing() const { return trace_ != nullptr; }
   /// Emits an event when tracing is enabled; no-op (and the argument should
   /// not be built) otherwise — guard call sites with tracing().
@@ -59,26 +51,13 @@ class TuningContext {
 
   /// Sets the label recorded with subsequent evaluations ("structural",
   /// "subtree:gc", ...) and emits a phase-transition trace event.
-  virtual void set_phase(std::string phase);
+  void set_phase(std::string phase);
 
-  /// Measures, logs, and tracks the incumbent. Returns the objective
-  /// (+inf for crashes).
-  virtual double evaluate(const Configuration& config);
-
-  /// Evaluates a batch, in parallel when a thread pool was provided.
-  /// Result i corresponds to configs[i]. Parallel dispatch is admission-
-  /// controlled with BudgetClock::try_reserve (decided serially, in index
-  /// order, before workers launch): once reservations cover the remaining
-  /// budget the rest of the batch is skipped (+inf) instead of overshooting
-  /// by one run per worker.
-  virtual std::vector<double> evaluate_batch(
-      const std::vector<Configuration>& configs);
-
-  /// Best configuration seen so far, by value (safe under concurrent
-  /// evaluation). The session seeds this with the default configuration
-  /// before the tuner starts, so it is always callable from tune().
-  virtual Configuration best_config() const;
-  virtual double best_objective() const;
+  /// Best configuration committed so far, by value. The session commits the
+  /// default configuration before the strategy starts, so it is always
+  /// callable from ask()/tell().
+  Configuration best_config() const;
+  double best_objective() const;
 
   // ---- split evaluation (the ask/tell scheduler's building blocks) ----
 
@@ -89,29 +68,19 @@ class TuningContext {
 
   /// Measures without recording: safe to call from worker threads. The
   /// returned cost is the exact budget charge of this measurement (metered
-  /// through every evaluator layer).
-  MeasuredEval measure_only(const Configuration& config) {
-    return measure_only(config, EvalHints{});
-  }
-  /// Like measure_only(), forwarding `hints` (incumbent snapshot / top-up
-  /// request) to the evaluator chain. The scheduler captures hints at
+  /// through every evaluator layer). `hints` (incumbent snapshot / top-up
+  /// request) go to the evaluator chain; the scheduler captures them at
   /// dispatch time on the control thread, so the racing decisions inside a
   /// measurement are independent of eval_threads.
   MeasuredEval measure_only(const Configuration& config,
-                            const EvalHints& hints);
-
-  /// Records a completed measurement: ResultDb row, eval trace event, and
-  /// the incumbent update. Called on the scheduler's control thread so row
-  /// order and the incumbent are deterministic. An empty `phase` uses the
-  /// current set_phase() label. Returns the objective.
-  double record(const Configuration& config, const Measurement& measurement,
-                const std::string& phase = std::string());
+                            const EvalHints& hints = {});
 
   /// Commits a completed evaluation: journals it (WAL order — the record is
-  /// durable before the result is applied), then record()s it. `replayed`
-  /// evaluations came *from* the journal and are not re-journaled. This is
-  /// the scheduler's commit point; record() remains for paths without a
-  /// journal.
+  /// durable before the result is applied), then applies it: ResultDb row,
+  /// eval trace event, incumbent update. Returns the objective. `replayed`
+  /// evaluations came *from* the journal and are not re-journaled. Called
+  /// on the scheduler's control thread, so row order and the incumbent are
+  /// deterministic. An empty `phase` uses the current set_phase() label.
   ///
   /// Under an adaptive measurement policy, a raced-out measurement that
   /// would displace the incumbent is first *topped up*: re-measured to
@@ -131,14 +100,13 @@ class TuningContext {
 
   // ---- tuning objective (owned by the session) ----
 
-  /// Installs the objective every evaluation is scored with: record(),
-  /// commit(), the incumbent order, and the incumbent's racing statistics
+  /// Installs the objective every evaluation is scored with: commit(), the
+  /// incumbent order, and the incumbent's racing statistics
   /// all read `Measurement::objective(objective())`. Defaults to
   /// run_time_objective(), which reproduces the historical scalar exactly.
   /// The caller keeps `obj` alive for the context's lifetime (sessions hold
   /// a shared_ptr). Set before the first evaluation, never between two.
   void set_objective(const Objective& obj) { objective_ = &obj; }
-  const Objective& objective() const { return *objective_; }
 
   // ---- adaptive measurement policy (owned by the session) ----
 
@@ -158,10 +126,7 @@ class TuningContext {
   // ---- durability & cancellation wiring (owned by the session) ----
 
   void set_journal(SessionJournal* journal) { journal_ = journal; }
-  SessionJournal* journal() { return journal_; }
-
   void set_cancellation(const CancellationToken* token) { cancel_ = token; }
-  const CancellationToken* cancellation() const { return cancel_; }
   bool cancelled() const { return is_cancelled(cancel_); }
 
   /// Arms replay: the next `records->size()` commits (in order) are answered
@@ -190,7 +155,6 @@ class TuningContext {
   /// True (under mutex_) when `objective` would displace the incumbent
   /// under the lexicographic (objective, fingerprint) order.
   bool improves_locked(double objective, std::uint64_t fingerprint) const;
-  std::string resolve_phase(const std::string& phase) const;
 
   const Objective* objective_ = &run_time_objective();
   Evaluator* evaluator_;
@@ -212,26 +176,12 @@ class TuningContext {
   std::optional<Configuration> best_config_;
   double best_objective_;
   /// Incumbent tie-break key: among equal objectives the lowest fingerprint
-  /// wins, so parallel batch reduction is order-independent (the incumbent
-  /// after a batch does not depend on completion order).
+  /// wins.
   std::uint64_t best_fingerprint_;
   /// Per-repetition running statistics of the incumbent's measurement,
   /// rebuilt whenever the incumbent changes; feeds incumbent_snapshot().
   RunningStat incumbent_stat_;
   MeasurementPolicyOptions policy_;
-};
-
-/// The legacy synchronous search interface. tune() runs until the budget is
-/// exhausted (checking ctx.exhausted() between evaluations) and relies on
-/// the context to track the best configuration. In-tree algorithms now
-/// implement the ask/tell SearchStrategy interface (tuner/strategy.hpp);
-/// Tuner remains for out-of-tree subclasses, which sessions run through
-/// LegacyTunerAdapter.
-class Tuner {
- public:
-  virtual ~Tuner() = default;
-  virtual std::string name() const = 0;
-  virtual void tune(TuningContext& ctx) = 0;
 };
 
 }  // namespace jat

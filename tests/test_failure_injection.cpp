@@ -43,6 +43,14 @@ FaultOptions transient_only(double rate, std::uint64_t seed = 99) {
   return options;
 }
 
+/// Measures and commits the default configuration, as sessions do before
+/// the strategy starts.
+void commit_defaults(TuningContext& ctx, const SearchSpace& space) {
+  const Configuration defaults(space.registry());
+  TuningContext::MeasuredEval base = ctx.measure_only(defaults);
+  ctx.commit(defaults, base, /*replayed=*/false);
+}
+
 class FailureInjection : public ::testing::Test {
  protected:
   FailureInjection() { set_log_level(LogLevel::kOff); }
@@ -69,7 +77,7 @@ class FailureInjection : public ::testing::Test {
     const SearchSpace space(FlagHierarchy::hotspot());
     TuningContext ctx(evaluator, budget, db, space, Rng(3));
     ctx.set_phase("default");
-    ctx.evaluate(Configuration(space.registry()));
+    commit_defaults(ctx, space);
     EvalScheduler(ctx).run(strategy);
     EXPECT_GT(db.size(), 0u);
     // Budget never silently ignored: the tuner stopped near exhaustion.
@@ -366,7 +374,7 @@ TEST_F(FailureInjection, TotalHarnessFailureStillTerminates) {
   const SearchSpace space(FlagHierarchy::hotspot());
   TuningContext ctx(resilient, budget, db, space, Rng(1));
   ctx.set_phase("default");
-  ctx.evaluate(Configuration(space.registry()));
+  commit_defaults(ctx, space);
   EvalScheduler(ctx).run(tuner);  // must not hang or throw
   EXPECT_TRUE(budget.exhausted());
   EXPECT_TRUE(std::isinf(ctx.best_objective()));
@@ -388,7 +396,7 @@ TEST_F(FailureInjection, IncumbentFiniteWheneverAnyFiniteResultExists) {
     const SearchSpace space(FlagHierarchy::hotspot());
     TuningContext ctx(resilient, budget, db, space, Rng(seed));
     ctx.set_phase("default");
-    ctx.evaluate(Configuration(space.registry()));
+    commit_defaults(ctx, space);
     HierarchicalTuner tuner;
     EvalScheduler(ctx).run(tuner);
     if (std::isfinite(db.best_objective())) {

@@ -1,17 +1,19 @@
 // EvalScheduler contract tests: the ask/tell trajectory is bit-identical
 // for any eval_threads at a fixed in-flight window, budget overshoot is
-// bounded by one window, BudgetClock admission control survives a
-// many-thread hammer, the LegacyTunerAdapter bridges old tune() loops, and
-// the outcome ratio metrics agree on crashed corners.
+// bounded by one window, a run that unwinds waits for its in-flight
+// measurements and rethrows through both session types, and the outcome
+// ratio metrics agree on crashed corners.
 #include "tuner/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,8 +21,8 @@
 #include "determinism_matrix.hpp"
 #include "support/log.hpp"
 #include "tuner/algorithms.hpp"
-#include "tuner/legacy_adapter.hpp"
 #include "tuner/session.hpp"
+#include "tuner/suite_session.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -167,112 +169,102 @@ TEST_F(SchedulerSuite, WindowSizeShapesTheTrajectory) {
   EXPECT_TRUE(any_difference);
 }
 
-// ---- BudgetClock admission control ------------------------------------------
+// ---- unwinding with evaluations in flight ------------------------------------
 
-// Many threads hammer try_reserve/charge/release concurrently; the sum of
-// admitted work must never exceed budget + one cost quantum per straggler
-// that won the final race (at most one, by the CAS loop's re-check).
-TEST_F(SchedulerSuite, TryReserveHammerNeverRunsAway) {
-  const SimTime total = SimTime::seconds(1000);
-  const SimTime cost = SimTime::seconds(3);
-  BudgetClock clock(total);
-  std::atomic<std::int64_t> admitted{0};
-  constexpr int kThreads = 16;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      while (clock.try_reserve(cost)) {
-        admitted.fetch_add(1, std::memory_order_relaxed);
-        clock.charge(cost);
-        clock.release(cost);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  // Admission stops as soon as charged + reserved covers the budget; each
-  // thread can straddle the limit with at most its own final reservation.
-  EXPECT_TRUE(clock.exhausted());
-  EXPECT_LE(clock.spent().as_seconds(),
-            (total + cost * double(kThreads)).as_seconds());
-  EXPECT_EQ(clock.reserved(), SimTime::zero());
-  EXPECT_EQ(admitted.load() * cost.as_seconds(), clock.spent().as_seconds());
-}
-
-TEST_F(SchedulerSuite, TryReserveRefusesWhenNoHeadroom) {
-  BudgetClock clock(SimTime::seconds(10));
-  clock.charge(SimTime::seconds(10));
-  EXPECT_FALSE(clock.try_reserve(SimTime::seconds(1)));
-
-  BudgetClock fresh(SimTime::seconds(10));
-  ASSERT_TRUE(fresh.try_reserve(SimTime::seconds(10)));
-  // Headroom is gone while the reservation is outstanding...
-  EXPECT_FALSE(fresh.try_reserve(SimTime::seconds(1)));
-  fresh.release(SimTime::seconds(10));
-  // ...and back once it is released without being charged.
-  EXPECT_TRUE(fresh.try_reserve(SimTime::seconds(1)));
-}
-
-// ---- LegacyTunerAdapter -----------------------------------------------------
-
-/// A deliberately old-style tuner: blocking evaluate() calls, a blocking
-/// batch, and state carried across them on the tune() stack.
-class LegacyProbe final : public Tuner {
+/// Fills every window slot it is offered, then throws: from its first tell()
+/// or from its second ask(). Either way run() unwinds with the rest of the
+/// window still measuring.
+class ThrowingStrategy final : public SearchStrategy {
  public:
-  std::string name() const override { return "legacy-probe"; }
-  void tune(TuningContext& ctx) override {
-    while (!ctx.exhausted()) {
-      Configuration candidate = ctx.best_config();
-      ctx.space().mutate(candidate, ctx.rng(), 2);
-      ctx.evaluate(candidate);
-      std::vector<Configuration> batch;
-      for (int i = 0; i < 3; ++i) {
-        Configuration c = ctx.best_config();
-        ctx.space().mutate(c, ctx.rng(), 1);
-        batch.push_back(std::move(c));
-      }
-      const std::vector<double> objectives = ctx.evaluate_batch(batch);
-      ++rounds_;
-      for (double objective : objectives) {
-        if (std::isfinite(objective)) ++finite_results_;
-      }
+  explicit ThrowingStrategy(bool throw_in_ask) : throw_in_ask_(throw_in_ask) {}
+  std::string name() const override { return "throwing"; }
+  void ask(std::vector<Proposal>& out, std::size_t max) override {
+    if (throw_in_ask_ && asks_++ > 0) throw std::runtime_error("ask bug");
+    for (std::size_t i = 0; i < max; ++i) {
+      Configuration candidate = ctx().best_config();
+      ctx().space().mutate(candidate, ctx().rng(), 2);
+      out.emplace_back(std::move(candidate));
     }
   }
-  int rounds() const { return rounds_; }
-  int finite_results() const { return finite_results_; }
+  void tell(const Observation&) override {
+    if (!throw_in_ask_) throw std::runtime_error("tell bug");
+  }
 
  private:
-  int rounds_ = 0;
-  int finite_results_ = 0;
+  bool throw_in_ask_;
+  int asks_ = 0;
 };
 
-TEST_F(SchedulerSuite, LegacyTunerRunsThroughTheScheduler) {
-  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    TuningSession session(sim_, scheduler_workload(), smoke_options(threads));
-    LegacyProbe probe;
-    const TuningOutcome outcome = session.run(probe);  // run(Tuner&) overload
-    EXPECT_EQ(outcome.tuner_name, "legacy-probe");
-    EXPECT_GT(probe.rounds(), 0) << "eval_threads=" << threads;
-    EXPECT_GT(probe.finite_results(), 0) << "eval_threads=" << threads;
-    EXPECT_GE(outcome.evaluations, 2);
-    EXPECT_TRUE(std::isfinite(outcome.best_ms));
-    EXPECT_LE(outcome.best_ms, outcome.default_ms);
+/// Takes wall-clock time over every measurement and counts the finished
+/// ones, so a test can see measurements that outlive their scheduler.
+class SlowEvaluator final : public Evaluator {
+ public:
+  Measurement measure(const Configuration& config, BudgetClock* budget,
+                      const EvalHints& /*hints*/) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (budget != nullptr) budget->charge(SimTime::seconds(1));
+    Measurement m;
+    m.config_fingerprint = config.fingerprint();
+    m.times_ms = {100.0};
+    m.summary = summarize(m.times_ms);
+    finished.fetch_add(1);
+    return m;
+  }
+  using Evaluator::measure;
+
+  std::atomic<int> finished{0};
+};
+
+// A run that unwinds must not leave pool tasks behind: they read the
+// scheduler and its context, which the caller destroys next.
+TEST_F(SchedulerSuite, UnwindingRunWaitsForInFlightMeasurements) {
+  for (const bool throw_in_ask : {false, true}) {
+    SlowEvaluator evaluator;
+    BudgetClock budget(SimTime::minutes(600));
+    ResultDb db;
+    const SearchSpace space(FlagHierarchy::hotspot());
+    ThreadPool pool(4);
+    TuningContext ctx(evaluator, budget, db, space, Rng(5), &pool);
+    const Configuration defaults(space.registry());
+    TuningContext::MeasuredEval base = ctx.measure_only(defaults);
+    ctx.commit(defaults, base, /*replayed=*/false);
+
+    std::int64_t dispatched = 0;
+    {
+      EvalScheduler scheduler(ctx, SchedulerOptions{8});
+      ThrowingStrategy strategy(throw_in_ask);
+      EXPECT_THROW(scheduler.run(strategy), std::runtime_error);
+      dispatched = scheduler.dispatched();
+    }
+    const int finished_at_exit = evaluator.finished.load();
+    EXPECT_EQ(finished_at_exit, 1 + dispatched)
+        << "throw_in_ask=" << throw_in_ask
+        << ": the scheduler was destroyed with measurements still running";
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(evaluator.finished.load(), finished_at_exit)
+        << "throw_in_ask=" << throw_in_ask
+        << ": measurements finished after the scheduler was destroyed";
   }
 }
 
-TEST_F(SchedulerSuite, LegacyAdapterPropagatesTunerExceptions) {
-  class Throwing final : public Tuner {
-   public:
-    std::string name() const override { return "throwing"; }
-    void tune(TuningContext& ctx) override {
-      ctx.evaluate(ctx.best_config());
-      throw std::runtime_error("tuner bug");
+TEST_F(SchedulerSuite, SessionsRethrowStrategyExceptions) {
+  WorkloadSpec other = scheduler_workload();
+  other.name = "scheduler-test-alloc";
+  other.alloc_rate = 1200 * 1024;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    for (const bool throw_in_ask : {false, true}) {
+      TuningSession session(sim_, scheduler_workload(), smoke_options(threads));
+      ThrowingStrategy single(throw_in_ask);
+      EXPECT_THROW((void)session.run(single), std::runtime_error)
+          << "single, eval_threads=" << threads;
+
+      SuiteTuningSession suite(sim_, {scheduler_workload(), other},
+                               smoke_options(threads));
+      ThrowingStrategy general(throw_in_ask);
+      EXPECT_THROW((void)suite.run(general), std::runtime_error)
+          << "suite, eval_threads=" << threads;
     }
-  };
-  TuningSession session(sim_, scheduler_workload(), smoke_options(0));
-  Throwing tuner;
-  EXPECT_THROW((void)session.run(tuner), std::runtime_error);
+  }
 }
 
 // ---- TuningOutcome ratio metrics --------------------------------------------

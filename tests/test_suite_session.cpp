@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "support/error.hpp"
-
 #include "support/log.hpp"
 #include "workloads/suites.hpp"
 
@@ -108,6 +108,46 @@ TEST_F(SuiteSessionTest, GeomeanConsistentWithPerWorkloadImprovements) {
   const double recomputed =
       std::exp(log_sum / static_cast<double>(outcome.per_workload_improvement.size()));
   EXPECT_NEAR(outcome.geomean_ratio, recomputed, 1e-9);
+}
+
+// Options a suite session cannot honour are refused before anything is
+// measured, with an error that names the option, instead of being ignored.
+void expect_rejected(const JvmSimulator& sim,
+                     const std::vector<WorkloadSpec>& suite,
+                     const SessionOptions& options, const std::string& option) {
+  try {
+    SuiteTuningSession session(sim, suite, options);
+    ADD_FAILURE() << "option '" << option << "' was accepted";
+  } catch (const TunerError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + option + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(SuiteSessionTest, RejectsRacingFactor) {
+  SessionOptions options;
+  options.racing_factor = 1.3;
+  expect_rejected(sim_, mini_suite(), options, "racing_factor");
+}
+
+TEST_F(SuiteSessionTest, RejectsResilient) {
+  SessionOptions options;
+  options.resilient = true;
+  expect_rejected(sim_, mini_suite(), options, "resilient");
+}
+
+TEST_F(SuiteSessionTest, RejectsFaultInjection) {
+  SessionOptions options;
+  options.fault_injection.transient_rate = 0.1;
+  expect_rejected(sim_, mini_suite(), options, "fault_injection");
+}
+
+TEST_F(SuiteSessionTest, RejectsTrace) {
+  TraceSink sink;
+  SessionOptions options;
+  options.trace = &sink;
+  expect_rejected(sim_, mini_suite(), options, "trace");
 }
 
 TEST_F(SuiteSessionTest, DeterministicAcrossRuns) {
