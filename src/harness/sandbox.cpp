@@ -571,7 +571,11 @@ void SandboxedEvaluator::spawn(Worker& worker) {
       // SIGKILL ends it.
       sa.sa_handler = SIG_IGN;
       ::sigaction(SIGTERM, &sa, nullptr);
-      for (volatile std::uint64_t spin = 0;; ++spin) {
+      // The volatile store is a side effect, so the endless loop is
+      // well-defined and keeps burning CPU.
+      volatile std::uint64_t spin = 0;
+      for (;;) {
+        spin = spin + 1;
       }
     }
 

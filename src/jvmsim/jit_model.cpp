@@ -60,6 +60,7 @@ JitModel::JitModel(const JitParams& params, const WorkloadSpec& workload,
     bucket.weight /= total_weight;
     bucket.invocation_rate =
         bucket.weight * workload.invocations_per_work / methods_per_bucket_;
+    refresh_next_tier(bucket);
   }
 
   code_size_per_method_ = workload.code_size_per_method * params_.code_bloat;
@@ -77,14 +78,21 @@ JitModel::JitModel(const JitParams& params, const WorkloadSpec& workload,
     params_.c2_quality *= 0.92;
     params_.c1_quality *= 0.95;
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      const int tier = next_tier_for(buckets_[i]);
-      if (tier > 0) enqueue(i, tier);
+      if (buckets_[i].next_tier > 0) enqueue(i, buckets_[i].next_tier);
     }
     start_pending_jobs();
   }
+
+  const double crypto = harmonic_pair(crypto_frac_, params_.crypto_speed);
+  const double vec = harmonic_pair(vector_frac_, params_.vector_quality);
+  tier_speed_[0] = interp_speed_ * params_.interpreter_quality;
+  // C1 gets intrinsics but not the vectorising optimisations.
+  tier_speed_[1] = c1_speed_ * params_.c1_quality * crypto;
+  tier_speed_[2] = params_.c2_quality * crypto * vec;
+  refresh_speed_mix();
 }
 
-double JitModel::threshold_for(const Bucket&, int tier) const {
+double JitModel::threshold_for(int tier) const {
   double base;
   if (params_.client_vm) {
     base = static_cast<double>(params_.compile_threshold) * kClientThresholdScale;
@@ -113,46 +121,30 @@ int JitModel::next_tier_for(const Bucket& bucket) const {
   return current + 1;
 }
 
-double JitModel::bucket_speed(const Bucket& bucket) const {
-  const double crypto = harmonic_pair(crypto_frac_, params_.crypto_speed);
-  const double vec = harmonic_pair(vector_frac_, params_.vector_quality);
-  switch (bucket.tier) {
-    case 2:
-      return params_.c2_quality * crypto * vec;
-    case 1:
-      // C1 gets intrinsics but not the vectorising optimisations.
-      return c1_speed_ * params_.c1_quality * crypto;
-    default:
-      return interp_speed_ * params_.interpreter_quality;
-  }
+void JitModel::refresh_next_tier(Bucket& bucket) {
+  bucket.next_tier = next_tier_for(bucket);
+  bucket.trigger = bucket.pending_tier < 0 && bucket.next_tier > 0
+                       ? threshold_for(bucket.next_tier)
+                       : std::numeric_limits<double>::infinity();
 }
 
-double JitModel::speed_mix() const {
+void JitModel::refresh_speed_mix() {
   // Harmonic composition: time per unit of work is the weighted sum of
   // per-bucket times; JNI work runs at fixed speed 1.
   double time = jni_frac_ / 1.0;
   for (const Bucket& bucket : buckets_) {
-    time += (1.0 - jni_frac_) * bucket.weight / bucket_speed(bucket);
+    time += (1.0 - jni_frac_) * bucket.weight / tier_speed_[bucket.tier];
   }
-  return 1.0 / time;
-}
-
-int JitModel::busy_compilers() const {
-  int busy = 0;
-  for (const Job& job : queue_) {
-    if (job.in_flight) ++busy;
-  }
-  return busy;
+  speed_mix_ = 1.0 / time;
+  speed_mix_dirty_ = false;
 }
 
 double JitModel::work_until_next_enqueue() const {
   double best = std::numeric_limits<double>::infinity();
   for (const Bucket& bucket : buckets_) {
-    if (bucket.pending_tier >= 0) continue;
-    const int tier = next_tier_for(bucket);
-    if (tier <= 0) continue;
     if (bucket.invocation_rate <= 0) continue;
-    const double need = threshold_for(bucket, tier) - bucket.invocations;
+    // An infinite trigger yields an infinite wait, which never wins.
+    const double need = bucket.trigger - bucket.invocations;
     best = std::min(best, std::max(0.0, need) / bucket.invocation_rate);
   }
   return best;
@@ -180,11 +172,7 @@ void JitModel::advance(double work_delta, SimTime time_delta) {
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
       Bucket& bucket = buckets_[i];
       bucket.invocations += bucket.invocation_rate * work_delta;
-      if (bucket.pending_tier >= 0) continue;
-      const int tier = next_tier_for(bucket);
-      if (tier > 0 && bucket.invocations >= threshold_for(bucket, tier)) {
-        enqueue(i, tier);
-      }
+      if (bucket.invocations >= bucket.trigger) enqueue(i, bucket.next_tier);
     }
   }
 
@@ -203,15 +191,18 @@ void JitModel::advance(double work_delta, SimTime time_delta) {
       std::erase_if(queue_, [](const Job& job) {
         return job.in_flight && job.remaining_bytes <= 1e-3;
       });
+      busy_ -= static_cast<int>(finished.size());
       for (const Job& job : finished) complete_job(job);
     }
   }
+  if (speed_mix_dirty_) refresh_speed_mix();
   start_pending_jobs();
 }
 
 void JitModel::enqueue(std::size_t index, int tier) {
   Bucket& bucket = buckets_[index];
   bucket.pending_tier = tier;
+  refresh_next_tier(bucket);
   Job job;
   job.bucket = index;
   job.tier = tier;
@@ -227,12 +218,11 @@ void JitModel::enqueue(std::size_t index, int tier) {
 void JitModel::start_pending_jobs() {
   // Compiler threads beyond the machine's cores cannot compile in parallel.
   const int max_parallel = std::min(params_.compiler_threads, machine_.cores);
-  int busy = busy_compilers();
   for (Job& job : queue_) {
-    if (busy >= max_parallel) break;
+    if (busy_ >= max_parallel) break;
     if (!job.in_flight) {
       job.in_flight = true;
-      ++busy;
+      ++busy_;
     }
   }
 }
@@ -248,8 +238,10 @@ bool JitModel::ensure_cache_space(double bytes) {
       if (bucket.pending_tier >= 0 && bucket.tier < bucket.pending_tier) {
         bucket.pending_tier = -1;
       }
+      refresh_next_tier(bucket);
     }
     queue_.clear();
+    busy_ = 0;
     return false;
   }
   // Flush coldest compiled buckets until the new code fits.
@@ -264,12 +256,11 @@ bool JitModel::ensure_cache_space(double bytes) {
     coldest->code_c1 = 0;
     coldest->code_c2 = 0;
     coldest->tier = 0;
-    if (coldest->pending_tier < 0) {
+    speed_mix_dirty_ = true;
+    refresh_next_tier(*coldest);
+    if (std::isfinite(coldest->trigger)) {
       // The method interprets again; if it stays hot it re-earns a compile.
-      const int tier = next_tier_for(*coldest);
-      if (tier > 0) {
-        coldest->invocations = threshold_for(*coldest, tier) * kFlushRestartFraction;
-      }
+      coldest->invocations = coldest->trigger * kFlushRestartFraction;
     }
     ++flush_count_;
   }
@@ -282,7 +273,10 @@ void JitModel::complete_job(const Job& job) {
       job.tier == 2 ? machine_.c2_compile_rate : machine_.c1_compile_rate;
   compile_cpu_ += SimTime::seconds(job.total_bytes / rate);
   bucket.pending_tier = -1;
-  if (!ensure_cache_space(job.total_bytes)) return;
+  if (!ensure_cache_space(job.total_bytes)) {
+    refresh_next_tier(bucket);
+    return;
+  }
 
   cache_used_ += job.total_bytes;
   if (job.tier == 2) {
@@ -303,11 +297,10 @@ void JitModel::complete_job(const Job& job) {
     bucket.tier = std::max(bucket.tier, 1);
     compiles_c1_ += static_cast<std::int64_t>(methods_per_bucket_ + 0.5);
   }
+  speed_mix_dirty_ = true;
+  refresh_next_tier(bucket);
   // A newly installed tier may immediately qualify for the next one.
-  const int tier = next_tier_for(bucket);
-  if (tier > 0 && bucket.invocations >= threshold_for(bucket, tier)) {
-    enqueue(job.bucket, tier);
-  }
+  if (bucket.invocations >= bucket.trigger) enqueue(job.bucket, bucket.next_tier);
 }
 
 }  // namespace jat

@@ -29,10 +29,10 @@ class JitModel {
   /// Current execution speed relative to ideal fully-compiled code (1.0):
   /// the harmonic mix over buckets at their current tiers, including the
   /// vectorisation / intrinsics / quality factors.
-  double speed_mix() const;
+  double speed_mix() const { return speed_mix_; }
 
   /// Compiler threads currently busy (they occupy machine cores).
-  int busy_compilers() const;
+  int busy_compilers() const { return busy_; }
 
   /// Work units until the next bucket crosses a compile threshold
   /// (infinity when none will).
@@ -64,6 +64,12 @@ class JitModel {
     int pending_tier = -1;     ///< tier queued/in-flight, -1 = none
     double code_c1 = 0;        ///< installed code bytes
     double code_c2 = 0;
+    /// Cached next_tier_for(), and the invocation count at which that tier
+    /// is enqueued (infinity while a job is pending or none is due).
+    /// refresh_next_tier() must follow every change to tier, pending_tier
+    /// or compiler_disabled_.
+    int next_tier = -1;
+    double trigger = 0;
   };
   struct Job {
     std::size_t bucket = 0;
@@ -73,9 +79,10 @@ class JitModel {
     bool in_flight = false;
   };
 
-  double bucket_speed(const Bucket& bucket) const;
-  double threshold_for(const Bucket& bucket, int tier) const;
+  double threshold_for(int tier) const;
   int next_tier_for(const Bucket& bucket) const;  ///< -1 when fully compiled
+  void refresh_next_tier(Bucket& bucket);
+  void refresh_speed_mix();
   void enqueue(std::size_t index, int tier);
   void start_pending_jobs();
   void complete_job(const Job& job);
@@ -92,9 +99,16 @@ class JitModel {
   double code_size_per_method_ = 1200;  ///< bloat-scaled compiled size
   double compile_all_inflation_ = 1.0;  ///< -Xcomp loaded/executed ratio
   double threshold_scale_ = 1.0;        ///< >1 when OSR is off
+  /// Execution speed of code at each tier (interpreter, C1, C2), fixed
+  /// once the -Xcomp quality adjustments are applied.
+  double tier_speed_[3] = {};
+  /// speed_mix() result; stale while speed_mix_dirty_ (a tier changed).
+  double speed_mix_ = 0;
+  bool speed_mix_dirty_ = false;
 
   std::vector<Bucket> buckets_;
   std::deque<Job> queue_;  ///< front `compiler_threads` jobs are in flight
+  int busy_ = 0;           ///< in-flight jobs in queue_
   double cache_used_ = 0;
   bool compiler_disabled_ = false;
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include <math.h>  // lgamma_r (POSIX)
+
 namespace jat {
 
 void RunningStat::add(double x) {
@@ -204,13 +206,19 @@ double beta_continued_fraction(double a, double b, double x) {
   return h;
 }
 
+// ln|Γ(x)| without std::lgamma's write to the global `signgam`, which
+// races when Welch tests run on several evaluation threads at once.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Regularized incomplete beta I_x(a, b) for x in [0, 1].
 double regularized_incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double log_front = std::lgamma(a + b) - std::lgamma(a) -
-                           std::lgamma(b) + a * std::log(x) +
-                           b * std::log1p(-x);
+  const double log_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
+                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(log_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return front * beta_continued_fraction(a, b, x) / a;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "flags/hierarchy.hpp"
+#include "flags/validate.hpp"
+#include "support/rng.hpp"
 #include "support/units.hpp"
+#include "tuner/search_space.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -250,6 +256,90 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_" + to_string(std::get<1>(info.param));
     });
+
+// Pins the simulator's output bit for bit. Every RunResult field of every
+// suite workload under the default VM, the JIT edge cases and a fixed set of
+// random configurations is folded into one digest, so a change to the
+// stepping code that moves any result by one ulp fails here. Regenerate the
+// constant only for an intended model change, and say so in CHANGES.md.
+std::uint64_t fold_result(std::uint64_t h, const RunResult& r) {
+  const auto time = [](SimTime t) {
+    return static_cast<std::uint64_t>(t.as_micros());
+  };
+  const auto count = [](std::int64_t n) { return static_cast<std::uint64_t>(n); };
+  for (const std::uint64_t field :
+       {std::uint64_t{r.crashed}, fnv1a64(r.crash_reason), time(r.total_time),
+        time(r.startup_time), std::bit_cast<std::uint64_t>(r.work_done),
+        count(r.young_gc_count), count(r.full_gc_count),
+        count(r.concurrent_cycles), count(r.concurrent_mode_failures),
+        count(r.promotion_failures), time(r.gc_pause_total),
+        time(r.gc_pause_max), time(r.concurrent_gc_cpu),
+        count(r.peak_heap_used), count(r.heap_capacity), count(r.compiles_c1),
+        count(r.compiles_c2), time(r.compile_cpu), count(r.code_cache_used),
+        std::uint64_t{r.code_cache_disabled}, count(r.code_cache_flushes),
+        time(r.lock_overhead), time(r.safepoint_overhead),
+        time(r.class_load_time)}) {
+    h = mix64(h, field);
+  }
+  return h;
+}
+
+TEST(SimulatorDigestTest, RunResultsBitIdenticalAcrossSuites) {
+  constexpr std::uint64_t kExpectedDigest = 0x4712c44c3e7e0f57ULL;
+  constexpr int kRandomConfigs = 36;
+
+  const FlagRegistry& registry = FlagRegistry::hotspot();
+  const auto edited = [&](auto edit) {
+    Configuration c(registry);
+    edit(c);
+    EXPECT_TRUE(first_fatal(c).empty()) << first_fatal(c);
+    return decode_params(c);
+  };
+  std::vector<JvmParams> cases;
+  cases.push_back(edited([](Configuration&) {}));
+  for (const bool flushing : {true, false}) {
+    JvmParams tiny = cases.front();
+    tiny.jit.code_cache_capacity = 512 * 1024;
+    tiny.jit.code_cache_flushing = flushing;
+    cases.push_back(tiny);
+  }
+  cases.push_back(edited([](Configuration& c) { c.set_enum("ExecutionMode", "comp"); }));
+  cases.push_back(edited([](Configuration& c) { c.set_enum("ExecutionMode", "int"); }));
+  cases.push_back(edited([](Configuration& c) { c.set_enum("VMMode", "client"); }));
+  cases.push_back(edited([](Configuration& c) { c.set_int("TieredStopAtLevel", 1); }));
+  cases.push_back(
+      edited([](Configuration& c) { c.set_bool("TieredCompilation", false); }));
+  cases.push_back(
+      edited([](Configuration& c) { c.set_bool("BackgroundCompilation", false); }));
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(2015);
+  for (int i = 0; i < kRandomConfigs; ++i) {
+    const Configuration c = space.random_config(rng);
+    ASSERT_TRUE(first_fatal(c).empty()) << first_fatal(c);
+    cases.push_back(decode_params(c));
+  }
+
+  std::vector<const WorkloadSpec*> workloads;
+  for (const WorkloadSpec& w : specjvm2008_startup()) workloads.push_back(&w);
+  for (const WorkloadSpec& w : dacapo()) workloads.push_back(&w);
+
+  const JvmSimulator sim;
+  std::uint64_t digest = 0;
+  bool flushed = false;
+  bool disabled = false;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      const RunResult r = sim.run(cases[c], *workloads[w], mix64(c, w));
+      flushed = flushed || r.code_cache_flushes > 0;
+      disabled = disabled || r.code_cache_disabled;
+      digest = fold_result(digest, r);
+    }
+  }
+  // The edge cases must actually reach the cache's flush and disable paths.
+  EXPECT_TRUE(flushed);
+  EXPECT_TRUE(disabled);
+  EXPECT_EQ(digest, kExpectedDigest) << "digest 0x" << std::hex << digest;
+}
 
 }  // namespace
 }  // namespace jat

@@ -175,6 +175,20 @@ TEST(JitModel, TinyCodeCacheWithoutFlushingDisablesCompiler) {
   EXPECT_EQ(jit.flush_count(), 0);
 }
 
+TEST(JitModel, DisablingTheCompilerIdlesEveryCompilerThread) {
+  JitParams p = tiered_params();
+  p.code_cache_capacity = 64 * 1024;
+  p.code_cache_flushing = false;
+  JitModel jit(p, jit_workload(), MachineSpec{});
+  // Small steps keep other compiles in flight when the cache fills.
+  for (int i = 0; i < 10000 && !jit.compiler_disabled(); ++i) {
+    jit.advance(10, SimTime::millis(10));
+  }
+  ASSERT_TRUE(jit.compiler_disabled());
+  EXPECT_EQ(jit.busy_compilers(), 0);
+  EXPECT_TRUE(jit.time_until_next_completion().is_infinite());
+}
+
 TEST(JitModel, TinyCodeCacheWithFlushingKeepsCompiling) {
   JitParams p = tiered_params();
   p.code_cache_capacity = 256 * 1024;
@@ -184,6 +198,27 @@ TEST(JitModel, TinyCodeCacheWithFlushingKeepsCompiling) {
   EXPECT_FALSE(jit.compiler_disabled());
   EXPECT_GT(jit.flush_count(), 0);
   EXPECT_LE(jit.code_cache_used(), 256 * 1024);
+}
+
+TEST(JitModel, FlushThatCannotMakeRoomFallsBackToInterpreterSpeed) {
+  // One bucket whose C1 code (1150 bytes) fits the cache but whose C2 code
+  // (1400 bytes) does not: installing C2 flushes the C1 code and still
+  // fails, so the bucket runs interpreted again.
+  WorkloadSpec w = jit_workload();
+  w.method_count = 1;
+  JitParams p = tiered_params();
+  p.code_cache_capacity = 1300;
+  const double cold = JitModel(p, w, MachineSpec{}).speed_mix();
+  JitModel jit(p, w, MachineSpec{});
+  double before_flush = cold;
+  for (int i = 0; i < 100000 && jit.flush_count() == 0; ++i) {
+    before_flush = jit.speed_mix();
+    jit.advance(1.0, SimTime::millis(1));
+  }
+  ASSERT_EQ(jit.flush_count(), 1);
+  EXPECT_EQ(jit.compiles_c2(), 0);
+  EXPECT_GT(before_flush, cold);
+  EXPECT_DOUBLE_EQ(jit.speed_mix(), cold);
 }
 
 TEST(JitModel, LargeCacheNeverFlushes) {
