@@ -84,13 +84,44 @@ void BM_ValidateConfiguration(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateConfiguration);
 
+// A fresh hash per iteration: toggling one flag drops the memo. Most flags
+// sit at their defaults, whose hashes the registry computed once.
 void BM_ConfigurationFingerprint(benchmark::State& state) {
+  Configuration config(FlagRegistry::hotspot());
+  const FlagId toggled = config.registry().require("UseG1GC");
+  bool on = false;
+  for (auto _ : state) {
+    on = !on;
+    config.set(toggled, FlagValue(on));
+    benchmark::DoNotOptimize(config.fingerprint());
+  }
+}
+BENCHMARK(BM_ConfigurationFingerprint);
+
+// The same with every active flag randomized (density 1.0, as random
+// search proposes), so nearly every value is rendered and hashed.
+void BM_ConfigurationFingerprintDense(benchmark::State& state) {
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(7);
+  Configuration config = space.random_config(rng, 1.0);
+  const FlagId toggled = config.registry().require("UseG1GC");
+  bool on = config.get(toggled).as_bool();
+  for (auto _ : state) {
+    on = !on;
+    config.set(toggled, FlagValue(on));
+    benchmark::DoNotOptimize(config.fingerprint());
+  }
+}
+BENCHMARK(BM_ConfigurationFingerprintDense);
+
+// A memo hit: what every fingerprint() after the first costs.
+void BM_ConfigurationFingerprintMemoHit(benchmark::State& state) {
   const Configuration config(FlagRegistry::hotspot());
   for (auto _ : state) {
     benchmark::DoNotOptimize(config.fingerprint());
   }
 }
-BENCHMARK(BM_ConfigurationFingerprint);
+BENCHMARK(BM_ConfigurationFingerprintMemoHit);
 
 void BM_RandomConfig(benchmark::State& state) {
   const SearchSpace space(FlagHierarchy::hotspot());

@@ -1,5 +1,7 @@
 #include "flags/configuration.hpp"
 
+#include <bit>
+
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -10,6 +12,32 @@ Configuration::Configuration(const FlagRegistry& registry) : registry_(&registry
   for (FlagId id = 0; id < registry.size(); ++id) {
     values_.push_back(registry.spec(id).default_value);
   }
+}
+
+Configuration::Configuration(const Configuration& other)
+    : registry_(other.registry_),
+      values_(other.values_),
+      fingerprint_(other.fingerprint_.load(std::memory_order_relaxed)) {}
+
+Configuration::Configuration(Configuration&& other) noexcept
+    : registry_(other.registry_),
+      values_(std::move(other.values_)),
+      fingerprint_(other.fingerprint_.exchange(0, std::memory_order_relaxed)) {}
+
+Configuration& Configuration::operator=(const Configuration& other) {
+  registry_ = other.registry_;
+  values_ = other.values_;
+  fingerprint_.store(other.fingerprint_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  return *this;
+}
+
+Configuration& Configuration::operator=(Configuration&& other) noexcept {
+  registry_ = other.registry_;
+  values_ = std::move(other.values_);
+  fingerprint_.store(other.fingerprint_.exchange(0, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  return *this;
 }
 
 const FlagValue& Configuration::get(FlagId id) const { return values_.at(id); }
@@ -41,6 +69,7 @@ void Configuration::set(FlagId id, FlagValue value) {
                     " out of domain for " + spec.name);
   }
   values_[id] = std::move(value);
+  fingerprint_.store(0, std::memory_order_relaxed);
 }
 
 void Configuration::set(std::string_view name, FlagValue value) {
@@ -94,11 +123,36 @@ std::string Configuration::render_command_line() const {
 }
 
 std::uint64_t Configuration::fingerprint() const {
+  std::uint64_t h = fingerprint_.load(std::memory_order_relaxed);
+  if (h == 0) {
+    h = compute_fingerprint();
+    fingerprint_.store(h, std::memory_order_relaxed);
+  }
+  return h;
+}
+
+namespace {
+
+/// Equal values that also render alike: doubles compare by bit pattern,
+/// since -0.0 == 0.0 but the two render as "-0" and "0".
+bool same_rendering(const FlagValue& a, const FlagValue& b) {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<std::uint64_t>(a.as_double()) ==
+           std::bit_cast<std::uint64_t>(b.as_double());
+  }
+  return a == b;
+}
+
+}  // namespace
+
+std::uint64_t Configuration::compute_fingerprint() const {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (FlagId id = 0; id < values_.size(); ++id) {
     const FlagSpec& spec = registry_->spec(id);
     const std::uint64_t value_hash =
-        fnv1a64(values_[id].render(spec.type == FlagType::kSize));
+        same_rendering(values_[id], spec.default_value)
+            ? registry_->default_value_hash(id)
+            : fnv1a64(values_[id].render(spec.type == FlagType::kSize));
     h = mix64(h, mix64(id, value_hash));
   }
   return h;

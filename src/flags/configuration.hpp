@@ -5,6 +5,7 @@
 // against the defaults to report "what the tuner changed" (Table T6).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +19,12 @@ class Configuration {
  public:
   /// All flags at their registry defaults.
   explicit Configuration(const FlagRegistry& registry);
+
+  // Copies and moves carry the fingerprint memo along with the values.
+  Configuration(const Configuration& other);
+  Configuration(Configuration&& other) noexcept;
+  Configuration& operator=(const Configuration& other);
+  Configuration& operator=(Configuration&& other) noexcept;
 
   const FlagRegistry& registry() const { return *registry_; }
   std::size_t size() const { return values_.size(); }
@@ -54,16 +61,24 @@ class Configuration {
   std::string render_command_line() const;
 
   /// Order-independent 64-bit fingerprint of all values (used as the cache /
-  /// result-db key; equal configurations hash equal).
+  /// result-db key; equal configurations hash equal). Computed once and
+  /// memoized until the next set(); concurrent const calls are race-free.
   std::uint64_t fingerprint() const;
 
+  /// Equality of values only; the fingerprint memo is not part of it.
   friend bool operator==(const Configuration& a, const Configuration& b) {
     return a.registry_ == b.registry_ && a.values_ == b.values_;
   }
 
  private:
+  std::uint64_t compute_fingerprint() const;
+
   const FlagRegistry* registry_;
   std::vector<FlagValue> values_;
+  /// fingerprint() memo; 0 means "not computed" (a true fingerprint of 0 is
+  /// simply recomputed on every call). Relaxed atomics suffice: every
+  /// writer stores the same value for the same values_.
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
 };
 
 }  // namespace jat

@@ -3,11 +3,13 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace jat {
 
 FlagRegistry::FlagRegistry(std::vector<FlagSpec> specs) : specs_(std::move(specs)) {
   by_name_.reserve(specs_.size());
+  default_hashes_.reserve(specs_.size());
   for (FlagId id = 0; id < specs_.size(); ++id) {
     const auto& spec = specs_[id];
     if (spec.name.empty()) throw FlagError("FlagRegistry: unnamed flag");
@@ -16,6 +18,8 @@ FlagRegistry::FlagRegistry(std::vector<FlagSpec> specs) : specs_(std::move(specs
     }
     const auto [it, inserted] = by_name_.emplace(spec.name, id);
     if (!inserted) throw FlagError("FlagRegistry: duplicate flag " + spec.name);
+    default_hashes_.push_back(
+        fnv1a64(spec.default_value.render(spec.type == FlagType::kSize)));
   }
 }
 

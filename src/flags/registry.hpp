@@ -34,6 +34,10 @@ class FlagRegistry {
   std::size_t size() const { return specs_.size(); }
   const FlagSpec& spec(FlagId id) const { return specs_.at(id); }
 
+  /// fnv1a64 of the flag's rendered default value, computed once at
+  /// construction; Configuration::fingerprint reuses it for default flags.
+  std::uint64_t default_value_hash(FlagId id) const { return default_hashes_[id]; }
+
   /// Name lookup; kInvalidFlag when absent.
   FlagId find(std::string_view name) const;
 
@@ -55,6 +59,7 @@ class FlagRegistry {
 
  private:
   std::vector<FlagSpec> specs_;
+  std::vector<std::uint64_t> default_hashes_;
   std::unordered_map<std::string, FlagId> by_name_;
 };
 

@@ -255,6 +255,8 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
 
   const MeasurementPolicy policy(options_.policy, hints.incumbent);
   StopReason stop = StopReason::kFull;
+  // Every repetition runs the same configuration: validate and decode once.
+  const JvmSimulator::Decoded decoded = JvmSimulator::decode(config);
 
   for (int rep = start_rep; rep < planned; ++rep) {
     // Cooperative cancellation stops after the current repetition, never
@@ -265,7 +267,7 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
     }
     const std::uint64_t seed =
         mix64(options_.seed, mix64(m.config_fingerprint, static_cast<std::uint64_t>(rep)));
-    RunResult run = simulator_->run(config, workload_, seed);
+    RunResult run = simulator_->run(decoded, workload_, seed);
     {
       std::lock_guard lock(mutex_);
       ++runs_executed_;

@@ -48,19 +48,30 @@ double misc_speed_factor(const JvmParams& p, const WorkloadSpec& w) {
 
 JvmSimulator::JvmSimulator(SimOptions options) : options_(options) {}
 
+JvmSimulator::Decoded JvmSimulator::decode(const Configuration& config) {
+  Decoded decoded;
+  decoded.fatal = first_fatal(config);
+  if (decoded.fatal.empty()) decoded.params = decode_params(config);
+  return decoded;
+}
+
 RunResult JvmSimulator::run(const Configuration& config,
                             const WorkloadSpec& workload,
                             std::uint64_t seed) const {
-  const std::string fatal = first_fatal(config);
-  if (!fatal.empty()) {
+  return run(decode(config), workload, seed);
+}
+
+RunResult JvmSimulator::run(const Decoded& decoded, const WorkloadSpec& workload,
+                            std::uint64_t seed) const {
+  if (!decoded.fatal.empty()) {
     RunResult result;
     result.crashed = true;
-    result.crash_reason = "VM failed to start: " + fatal;
+    result.crash_reason = "VM failed to start: " + decoded.fatal;
     // A refused start is detected quickly by a real harness.
     result.total_time = SimTime::seconds(1.0);
     return result;
   }
-  return run(decode_params(config), workload, seed);
+  return run(decoded.params, workload, seed);
 }
 
 RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workload,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "flags/configuration.hpp"
 #include "jvmsim/machine.hpp"
@@ -37,12 +38,29 @@ struct SimOptions {
 
 class JvmSimulator {
  public:
+  /// A configuration checked and decoded once, for any number of runs:
+  /// either the VM refuses to start (`fatal` holds the first fatal
+  /// violation) or `params` holds the decoded parameters.
+  struct Decoded {
+    std::string fatal;
+    JvmParams params;
+  };
+
   explicit JvmSimulator(SimOptions options = {});
 
-  /// Runs the workload under the configuration. Non-startable
-  /// configurations and OutOfMemoryErrors come back as crashed results (the
-  /// tuner treats those as worst-possible, like the paper's harness).
+  /// Validates and decodes the configuration (no simulation).
+  static Decoded decode(const Configuration& config);
+
+  /// Runs the workload under the configuration; run(decode(config), ...).
+  /// Non-startable configurations and OutOfMemoryErrors come back as
+  /// crashed results (the tuner treats those as worst-possible, like the
+  /// paper's harness).
   RunResult run(const Configuration& config, const WorkloadSpec& workload,
+                std::uint64_t seed) const;
+
+  /// Same, for a configuration decoded once and run many times (the
+  /// harness's repetitions); bit-identical to the Configuration overload.
+  RunResult run(const Decoded& decoded, const WorkloadSpec& workload,
                 std::uint64_t seed) const;
 
   /// Same, for already-decoded parameters (skips flag access; used by

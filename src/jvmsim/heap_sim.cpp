@@ -51,7 +51,10 @@ HeapSim::HeapSim(const HeapParams& params, const WorkloadSpec& workload,
 
 void HeapSim::set_young_size(double bytes) {
   const double heap = static_cast<double>(heap_capacity_);
-  double young = std::clamp(bytes, 1.0 * kMiB, std::min(max_young_size_, heap * 0.8));
+  // Not std::clamp: the bounds cross when max_young_size is below 1 MiB,
+  // and then the upper bound wins.
+  double young = std::min(std::max(bytes, 1.0 * kMiB),
+                          std::min(max_young_size_, heap * 0.8));
   // The boundary cannot move below what the old generation already holds.
   const double min_old = old_used() * 1.05;
   if (heap - young < min_old) young = std::max(1.0 * kMiB, heap - min_old);

@@ -24,6 +24,8 @@ double EvalScheduler::avg_inflight() const {
 
 void EvalScheduler::dispatch(Proposal proposal) {
   InFlight flight(next_id_++, std::move(proposal));
+  // Hash once here: the pool task's copy and the window entry carry the memo.
+  (void)flight.config.fingerprint();
   // Proposal id i commits as ResultDb row db_base_ + i, so the journal
   // record at that index — when one exists — already holds its result.
   flight.replay = db_base_ + flight.id < ctx_->replay_total();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "support/error.hpp"
 #include "support/units.hpp"
 
@@ -19,6 +23,35 @@ TEST_F(ConfigurationTest, StartsAtDefaults) {
   EXPECT_TRUE(c.changed_flags().empty());
   for (FlagId id = 0; id < reg_.size(); ++id) {
     EXPECT_TRUE(c.is_default(id));
+  }
+}
+
+// The defaults' fingerprint keys every baseline measurement in journals,
+// stores and goldens; pinned so a change to the hashing shows here first.
+TEST_F(ConfigurationTest, DefaultsFingerprintIsPinned) {
+  EXPECT_EQ(Configuration(reg_).fingerprint(), 0x3190073e9c01758cULL);
+}
+
+// fingerprint() is const and memoizes: callers on several threads sharing
+// one configuration must all get the same value without a data race (run
+// under TSan in CI).
+TEST_F(ConfigurationTest, ConcurrentFingerprintCallsAgree) {
+  Configuration source(reg_);
+  source.set_bool("UseG1GC", true);
+  source.set_bool("UseParallelGC", false);
+  source.set_int("MaxHeapSize", 2 * kGiB);
+  const Configuration shared = source;  // memo still empty
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &seen, t] {
+      for (int i = 0; i < 16; ++i) seen[t] = shared.fingerprint();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], source.fingerprint()) << "thread " << t;
   }
 }
 

@@ -341,5 +341,42 @@ TEST(SimulatorDigestTest, RunResultsBitIdenticalAcrossSuites) {
   EXPECT_EQ(digest, kExpectedDigest) << "digest 0x" << std::hex << digest;
 }
 
+// run(decode(config), ...) is the harness's decode-once path; it must match
+// run(config, ...) bit for bit, refused starts included.
+TEST(SimulatorDecodeTest, DecodedRunMatchesConfigurationRun) {
+  const FlagRegistry& registry = FlagRegistry::hotspot();
+  std::vector<Configuration> configs;
+  configs.emplace_back(registry);
+  Configuration tiny_young(registry);
+  tiny_young.set_int("MaxNewSize", 512 * kKiB);
+  configs.push_back(tiny_young);
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(15);
+  for (int i = 0; i < 8; ++i) configs.push_back(space.random_config(rng));
+  Configuration refused(registry);
+  refused.set_int("InitialHeapSize", 2 * kGiB);
+  configs.push_back(refused);
+
+  const JvmSimulator sim;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const JvmSimulator::Decoded decoded = JvmSimulator::decode(configs[c]);
+    EXPECT_EQ(decoded.fatal, first_fatal(configs[c]));
+    for (const char* workload : {"startup.compress", "h2"}) {
+      const WorkloadSpec& w = find_workload(workload);
+      const RunResult direct = sim.run(configs[c], w, mix64(c, 3));
+      const RunResult via_decoded = sim.run(decoded, w, mix64(c, 3));
+      EXPECT_EQ(fold_result(0, via_decoded), fold_result(0, direct))
+          << "config " << c << " on " << workload;
+    }
+  }
+
+  const JvmSimulator::Decoded decoded = JvmSimulator::decode(refused);
+  ASSERT_FALSE(decoded.fatal.empty());
+  const RunResult r = sim.run(decoded, find_workload("h2"), 1);
+  EXPECT_TRUE(r.crashed);
+  EXPECT_EQ(r.crash_reason, "VM failed to start: " + decoded.fatal);
+  EXPECT_EQ(r.total_time, SimTime::seconds(1.0));
+}
+
 }  // namespace
 }  // namespace jat

@@ -157,6 +157,72 @@ TEST_F(FlagsProperty, FingerprintSeparatesDistinctConfigurations) {
   }
 }
 
+/// The fingerprint fold computed from scratch: every flag's rendered value,
+/// hashed and folded in id order. Configuration::fingerprint must equal it
+/// whatever it memoizes or reuses.
+std::uint64_t reference_fingerprint(const Configuration& config) {
+  const FlagRegistry& registry = config.registry();
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (FlagId id = 0; id < config.size(); ++id) {
+    const bool as_size = registry.spec(id).type == FlagType::kSize;
+    h = mix64(h, mix64(id, fnv1a64(config.get(id).render(as_size))));
+  }
+  return h;
+}
+
+// The memo and the per-flag default hashes never change a fingerprint: over
+// the same 10k random configurations as the round-trip sweep, the memoized
+// value equals the reference fold, after a set() (which must drop the
+// memo), in a copy and after a move.
+TEST_F(FlagsProperty, MemoizedFingerprintMatchesReferenceFold) {
+  constexpr int kCases = 10000;
+  for (int i = 0; i < kCases; ++i) {
+    const std::uint64_t seed = mix64(base_seed(), static_cast<std::uint64_t>(i));
+    Rng rng(seed);
+    Configuration config = random_config(reg_, rng);
+    const std::uint64_t before = reference_fingerprint(config);
+    ASSERT_EQ(config.fingerprint(), before) << "seed 0x" << std::hex << seed;
+
+    const Configuration copy_before = config;
+    const FlagId id = static_cast<FlagId>(rng.next_below(reg_.size()));
+    config.set(id, random_value(reg_.spec(id), rng));
+    const std::uint64_t after = reference_fingerprint(config);
+    ASSERT_EQ(config.fingerprint(), after)
+        << "memo survived set() of " << reg_.spec(id).name << "; seed 0x"
+        << std::hex << seed;
+    ASSERT_EQ(copy_before.fingerprint(), before) << "seed 0x" << std::hex << seed;
+
+    const Configuration copy = config;
+    ASSERT_EQ(copy.fingerprint(), after) << "seed 0x" << std::hex << seed;
+    const Configuration moved = std::move(config);
+    ASSERT_EQ(moved.fingerprint(), after) << "seed 0x" << std::hex << seed;
+  }
+}
+
+// -0.0 == 0.0, but the two render differently ("-0" vs "0"), so a flag set
+// to -0.0 over a 0.0 default must hash its own rendering, not reuse the
+// default's hash.
+TEST(FingerprintDefaults, NegativeZeroIsNotTheDefault) {
+  FlagSpec ratio;
+  ratio.name = "Ratio";
+  ratio.type = FlagType::kDouble;
+  ratio.default_value = FlagValue(0.0);
+  ratio.double_domain = {-1.0, 1.0};
+  FlagSpec on;
+  on.name = "On";
+  on.type = FlagType::kBool;
+  on.default_value = FlagValue(true);
+  const FlagRegistry registry({ratio, on});
+
+  const Configuration defaults(registry);
+  Configuration negative_zero(registry);
+  negative_zero.set("Ratio", FlagValue(-0.0));
+  EXPECT_TRUE(negative_zero == defaults);
+  EXPECT_EQ(defaults.fingerprint(), reference_fingerprint(defaults));
+  EXPECT_EQ(negative_zero.fingerprint(), reference_fingerprint(negative_zero));
+  EXPECT_NE(negative_zero.fingerprint(), defaults.fingerprint());
+}
+
 // Pinned regression corners for the round-trip property. The sweep above
 // is seeded and rotating in CI (JAT_FLAGS_SEED), so corners it has caught
 // once are pinned here forever.

@@ -284,5 +284,16 @@ TEST(HeapSim, OccupancyFractionsInRange) {
   }
 }
 
+// Bounds that cross (max_young_size below 1 MiB): the upper bound wins.
+TEST(HeapSim, YoungSizeBelowOneMiBKeepsTheUpperBound) {
+  HeapParams h = small_heap();
+  h.young_size = 512 * kKiB;
+  h.max_young_size = 512 * kKiB;
+  HeapSim heap(h, plain_workload(), 1.0, 1e9);
+  EXPECT_EQ(heap.young_size(), 524288.0);
+  heap.set_young_size(8 * kMiBd);
+  EXPECT_EQ(heap.young_size(), 524288.0);
+}
+
 }  // namespace
 }  // namespace jat

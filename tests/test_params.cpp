@@ -86,6 +86,16 @@ TEST_F(ParamsTest, MaxNewSizeOverridesNewRatio) {
   EXPECT_EQ(decode_params(config_).heap.max_young_size, 100 * kMiB);
 }
 
+// A MaxNewSize below 1 MiB crosses the young-size bounds [1 MiB,
+// max_young_size]; the upper bound wins. Values pinned from the decoder as
+// it was before the bounds check was written out by hand.
+TEST_F(ParamsTest, MaxNewSizeBelowOneMiBBoundsTheYoungGeneration) {
+  config_.set_int("MaxNewSize", 512 * kKiB);
+  const JvmParams p = decode_params(config_);
+  EXPECT_EQ(p.heap.max_young_size, 524288);
+  EXPECT_EQ(p.heap.young_size, 524288);
+}
+
 TEST_F(ParamsTest, InitialHeapClampedToMax) {
   config_.set_int("MaxHeapSize", 7 * kGiB);  // keep startable
   config_.set_int("InitialHeapSize", 4 * kGiB);
