@@ -7,10 +7,22 @@
 
 namespace jat {
 
+namespace {
+
+/// One configuration, one key: -0.0 == 0.0, so a stored -0.0 becomes 0.0,
+/// which keeps operator== and fingerprint() (which hashes the "-0" / "0"
+/// renderings) in agreement.
+FlagValue canonical(FlagValue value) {
+  if (value.is_double() && value.as_double() == 0.0) return FlagValue(0.0);
+  return value;
+}
+
+}  // namespace
+
 Configuration::Configuration(const FlagRegistry& registry) : registry_(&registry) {
   values_.reserve(registry.size());
   for (FlagId id = 0; id < registry.size(); ++id) {
-    values_.push_back(registry.spec(id).default_value);
+    values_.push_back(canonical(registry.spec(id).default_value));
   }
 }
 
@@ -68,7 +80,7 @@ void Configuration::set(FlagId id, FlagValue value) {
     throw FlagError("Configuration::set: value " + value.render() +
                     " out of domain for " + spec.name);
   }
-  values_[id] = std::move(value);
+  values_[id] = canonical(std::move(value));
   fingerprint_.store(0, std::memory_order_relaxed);
 }
 

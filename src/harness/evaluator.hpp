@@ -20,8 +20,9 @@ namespace jat {
 /// incumbent, normal measurement" and reproduce the historical behaviour
 /// exactly.
 struct EvalHints {
-  /// The incumbent's running statistics at dispatch time; the adaptive
-  /// policy races candidates against these. count == 0 disables racing.
+  /// The incumbent's running statistics at dispatch time; the measurement
+  /// policy races candidates against these (the first-repetition factor and
+  /// the adaptive Welch test). count == 0 disables racing.
   IncumbentSnapshot incumbent;
   /// Re-measure a cached raced-out measurement to convergence, merging
   /// the new repetitions into the cached ones, instead of answering from

@@ -6,16 +6,18 @@
 namespace jat {
 
 MeasurementPolicy::MeasurementPolicy(const MeasurementPolicyOptions& options,
-                                     const IncumbentSnapshot& incumbent)
-    : options_(options) {
-  if (incumbent.usable()) {
-    incumbent_ = incumbent.to_stat();
-    has_incumbent_ = true;
-  }
-}
+                                     const IncumbentSnapshot& incumbent,
+                                     double racing_factor)
+    : options_(options), racing_factor_(racing_factor), incumbent_(incumbent) {}
 
 MeasurementPolicy::Decision MeasurementPolicy::after_rep(
     const RunningStat& sample) const {
+  // Racing factor: a first repetition this far above the incumbent's mean
+  // is a clear loser, not worth a second run.
+  if (sample.count() == 1 && racing_factor_ > 0.0 && incumbent_.count >= 1 &&
+      sample.mean() > racing_factor_ * incumbent_.mean) {
+    return Decision::kRacedOut;
+  }
   if (!options_.adaptive) return Decision::kContinue;
   const int min_reps = std::max(2, options_.min_reps);
   if (sample.count() < static_cast<std::size_t>(min_reps)) {
@@ -38,8 +40,8 @@ MeasurementPolicy::Decision MeasurementPolicy::after_rep(
   // Racing: abandon when the Welch test says this candidate's mean is
   // worse than the incumbent's at the configured significance. One-sided
   // intent (worse only), so the mean ordering gates the two-sided p.
-  if (has_incumbent_ && sample.mean() > incumbent_.mean()) {
-    const WelchResult w = welch_t_test(sample, incumbent_);
+  if (incumbent_.usable() && sample.mean() > incumbent_.mean) {
+    const WelchResult w = welch_t_test(sample, incumbent_.to_stat());
     if (w.p_value < options_.race_p) return Decision::kRacedOut;
   }
   return Decision::kContinue;

@@ -4,12 +4,20 @@
 // candidate whose mean is already known — or already known to be worse
 // than the incumbent — is budget a strategy could have spent exploring.
 // MeasurementPolicy is the per-repetition decision layer the runner
-// consults after every successful repetition: stop because the mean has
-// converged (CI95 half-width within a relative threshold), abandon because
-// a Welch test against the incumbent's running statistics says this
-// candidate is worse (generalizing the old first-rep-only racing factor to
-// every repetition), or continue up to a cap. The decision and its
-// statistics are pure; the runner owns seeds, budget charging, and faults.
+// consults after every successful repetition. It holds both racing rules,
+// and both read only the incumbent snapshot the scheduler captured at
+// dispatch:
+//   - the first-repetition factor (RunnerOptions::racing_factor, jat_tune
+//     --racing): abandon when the first repetition exceeds the factor times
+//     the incumbent's mean;
+//   - the adaptive rules: stop because the mean has converged (CI95
+//     half-width within a relative threshold), abandon because a Welch test
+//     against the incumbent's running statistics says this candidate is
+//     worse, or continue up to a cap.
+// The decision and its statistics are pure — a function of the sample and
+// the snapshot, never of what the runner measured before — so racing is
+// deterministic across eval_threads and the sandbox. The runner owns seeds,
+// budget charging, and faults.
 //
 // Every early exit is recorded as a StopReason in the Measurement, so
 // downstream consumers (ResultDb CSV, journal, traces) can distinguish a
@@ -28,7 +36,7 @@ namespace jat {
 enum class StopReason {
   kFull = 0,    ///< ran its planned repetitions (or faulted out; see fault)
   kConverged,   ///< adaptive: CI95 half-width within ci_rel of the mean
-  kRacedOut,    ///< abandoned as worse than the incumbent (racing or Welch)
+  kRacedOut,    ///< abandoned as worse than the incumbent (factor or Welch)
   kBudgetCut,   ///< the tuning budget expired mid-measurement
   kCancelled,   ///< cooperative cancellation drained it early
 };
@@ -81,7 +89,8 @@ struct MeasurementPolicyOptions {
 
 /// The incumbent's running statistics at dispatch time, in the serialized
 /// moment form that crosses the sandbox request frame. count == 0 means "no
-/// usable incumbent" (session start, or the policy is disabled).
+/// incumbent yet" (session start or journal replay); the racing factor
+/// needs count >= 1 and the Welch test count >= 2.
 struct IncumbentSnapshot {
   std::size_t count = 0;
   double mean = 0.0;
@@ -103,21 +112,26 @@ class MeasurementPolicy {
   enum class Decision {
     kContinue,   ///< collect another repetition
     kConverged,  ///< mean is trusted; stop
-    kRacedOut,   ///< statistically worse than the incumbent; abandon
+    kRacedOut,   ///< worse than the incumbent; abandon
   };
 
+  /// `racing_factor` > 0 enables the first-repetition rule; the runner
+  /// passes 0 for objectives without a positive scale.
   MeasurementPolicy(const MeasurementPolicyOptions& options,
-                    const IncumbentSnapshot& incumbent);
+                    const IncumbentSnapshot& incumbent,
+                    double racing_factor = 0.0);
 
   /// Decision after a successful repetition, given every successful
-  /// repetition so far. Convergence is checked before racing: a converged
-  /// loser still gets an honest (tight) measurement.
+  /// repetition so far. The factor applies to the first repetition only,
+  /// whether or not the policy is adaptive. After that, convergence is
+  /// checked before the Welch test: a converged loser still gets an honest
+  /// (tight) measurement.
   Decision after_rep(const RunningStat& sample) const;
 
  private:
   MeasurementPolicyOptions options_;
-  RunningStat incumbent_;
-  bool has_incumbent_ = false;
+  double racing_factor_;
+  IncumbentSnapshot incumbent_;
 };
 
 }  // namespace jat

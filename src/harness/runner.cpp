@@ -27,15 +27,6 @@ FaultStats BenchmarkRunner::stats() const {
   return stats_;
 }
 
-void BenchmarkRunner::merge_racing_floor_ms(double first_ms) {
-  if (first_ms <= 0.0) return;
-  double current = best_first_rep_ms_.load(std::memory_order_relaxed);
-  while ((current == 0.0 || first_ms < current) &&
-         !best_first_rep_ms_.compare_exchange_weak(current, first_ms,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-
 void BenchmarkRunner::seed_cache(const Measurement& measurement) {
   std::lock_guard lock(mutex_);
   cache_.emplace(measurement.config_fingerprint, measurement);
@@ -253,7 +244,11 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
   }
   m.times_ms.reserve(static_cast<std::size_t>(planned));
 
-  const MeasurementPolicy policy(options_.policy, hints.incumbent);
+  // The factor is a multiplicative threshold, so negated objectives skip
+  // it (the adaptive policy's Welch racing covers them).
+  const MeasurementPolicy policy(
+      options_.policy, hints.incumbent,
+      objective.positive_scale() ? options_.racing_factor : 0.0);
   StopReason stop = StopReason::kFull;
   // Every repetition runs the same configuration: validate and decode once.
   const JvmSimulator::Decoded decoded = JvmSimulator::decode(config);
@@ -308,26 +303,11 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
       metrics[MetricId::kPeakHeapMb] =
           static_cast<double>(run.peak_heap_used) / (1024.0 * 1024.0);
       m.rep_metrics.push_back(metrics);
-      const double rep_scalar = objective.rep_value(metrics);
-      sample.add(rep_scalar);
+      sample.add(objective.rep_value(metrics));
 
-      // Racing: abandon clear losers after their first repetition. The
-      // floor is a multiplicative threshold, so it only applies on
-      // positive scales (negated objectives skip it; the Welch racing in
-      // the adaptive policy covers them instead).
-      if (rep == 0 && options_.racing_factor > 0.0 &&
-          objective.positive_scale()) {
-        const double first = rep_scalar;
-        const double floor = best_first_rep_ms_.load(std::memory_order_relaxed);
-        if (floor > 0.0 && first > floor * options_.racing_factor) {
-          stop = StopReason::kRacedOut;
-          break;
-        }
-        merge_racing_floor_ms(first);
-      }
-
-      // Adaptive policy: stop when the mean has converged, abandon when a
-      // Welch test against the incumbent says this candidate is worse.
+      // Stop when the mean has converged; abandon when the first repetition
+      // is a clear loser or a Welch test says this candidate is worse than
+      // the dispatch-time incumbent.
       const MeasurementPolicy::Decision decision = policy.after_rep(sample);
       if (decision == MeasurementPolicy::Decision::kConverged) {
         stop = StopReason::kConverged;

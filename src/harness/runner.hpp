@@ -2,7 +2,6 @@
 // tuning budget, and caches by configuration fingerprint.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -35,12 +34,12 @@ struct RunnerOptions {
   double per_run_overhead_s = 2.0;
   /// Stop repeating a crashed configuration after the first failure.
   bool fail_fast = true;
-  /// Racing (adaptive repetitions): when > 0, a candidate whose *first*
-  /// repetition is more than `racing_factor` times the best first
-  /// repetition seen so far is abandoned with a single-sample measurement.
-  /// Clearly-losing candidates then cost one run instead of `repetitions`,
-  /// at the price of a noisier (but still honest) objective for them.
-  /// 0 disables racing.
+  /// First-repetition racing: when > 0, a candidate whose first
+  /// repetition's objective scalar exceeds `racing_factor` times the mean of
+  /// the dispatch-time incumbent (EvalHints) is abandoned as kRacedOut with
+  /// a single-sample measurement. Clearly-losing candidates then cost one
+  /// run instead of `repetitions`. Positive-scale objectives only; the
+  /// decision is MeasurementPolicy's. 0 disables it.
   double racing_factor = 0.0;
   /// Confidence-driven adaptive repetitions (measure_policy.hpp). When
   /// `policy.adaptive` is set, `policy.max_reps` replaces `repetitions` as
@@ -49,11 +48,10 @@ struct RunnerOptions {
   /// is worse. Disabled by default: behaviour is then bit-identical to the
   /// fixed-repetition loop.
   MeasurementPolicyOptions policy;
-  /// The tuning objective (objective.hpp). Racing, the adaptive policy's
-  /// convergence/abandon decisions, and the racing floor all operate on
-  /// this objective's per-repetition scalar stream. Null selects
-  /// run_time_objective(), whose stream is `times_ms` itself — the
-  /// historical behaviour, bit-identical.
+  /// The tuning objective (objective.hpp). The policy's racing and
+  /// convergence decisions operate on this objective's per-repetition
+  /// scalar stream. Null selects run_time_objective(), whose stream is
+  /// `times_ms` itself — the historical behaviour, bit-identical.
   std::shared_ptr<const Objective> objective;
   /// Cross-session result store (store.hpp): a read-through/write-behind
   /// tier below the in-memory cache. A cache miss answered by the store
@@ -83,8 +81,8 @@ class BenchmarkRunner : public Evaluator {
   /// rest wait for its result and are charged like a cache hit, so the
   /// budget is never double-charged for one configuration. Thread-safe.
   ///
-  /// `hints` carries the incumbent statistics for the adaptive policy's
-  /// racing decision, and the top-up request: a cached raced-out
+  /// `hints` carries the incumbent statistics for the policy's racing
+  /// decisions, and the top-up request: a cached raced-out
   /// measurement asked for with `hints.top_up` is continued — further
   /// repetitions, with seed continuity, merged into the cached ones —
   /// instead of answered from the cache.
@@ -117,22 +115,6 @@ class BenchmarkRunner : public Evaluator {
   /// never before the first — so everything drained during shutdown is
   /// still a valid (possibly fewer-rep) measurement.
   void set_cancellation(const CancellationToken* token) { cancel_ = token; }
-
-  /// The racing floor: best (lowest) first-repetition time seen so far in
-  /// ms, 0 until one exists. Exposed for the sandbox, which must carry the
-  /// floor across the process boundary: the parent sends its global floor
-  /// with each request and folds the worker's updated floor back in.
-  double racing_floor_ms() const {
-    return best_first_rep_ms_.load(std::memory_order_relaxed);
-  }
-  /// Lowers the floor to `first_ms` when it is positive and better than the
-  /// current one (lock-free CAS min; used when merging worker replies).
-  void merge_racing_floor_ms(double first_ms);
-  /// Overwrites the floor (sandbox worker side: the parent's merged floor
-  /// supersedes whatever this process last saw).
-  void set_racing_floor_ms(double first_ms) {
-    best_first_rep_ms_.store(first_ms, std::memory_order_relaxed);
-  }
 
   /// Seeds the result cache with a previously committed measurement (session
   /// resume): a replayed configuration that is proposed again after resume
@@ -191,10 +173,6 @@ class BenchmarkRunner : public Evaluator {
   std::uint64_t workload_fp_ = 0;
   std::uint64_t space_fp_ = 0;
   bool space_fp_known_ = false;
-  /// 0 until the first finite first rep. Atomic (not mutex_-guarded) so the
-  /// sandbox parent can merge worker floors while a respawn fork() is in
-  /// progress — a fork must never inherit a locked runner mutex.
-  std::atomic<double> best_first_rep_ms_{0.0};
   FaultStats stats_;
 };
 

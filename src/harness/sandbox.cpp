@@ -111,9 +111,8 @@ struct Request {
   std::int64_t spent_us = 0;
   std::int64_t total_us = 0;
   std::int64_t time_limit_us = 0;
-  double racing_floor_ms = 0.0;
   // EvalHints across the process boundary: the incumbent's running
-  // statistics (serialized moments) for the adaptive racing decision, and
+  // statistics (serialized moments) for the policy's racing decisions, and
   // the top-up flag. Zero count means no incumbent.
   bool top_up = false;
   std::uint64_t incumbent_count = 0;
@@ -129,7 +128,6 @@ std::string encode_request(const Request& req) {
   append_i64(p, req.spent_us);
   append_i64(p, req.total_us);
   append_i64(p, req.time_limit_us);
-  append_f64(p, req.racing_floor_ms);
   p.push_back(req.top_up ? 1 : 0);
   append_u64(p, req.incumbent_count);
   append_f64(p, req.incumbent_mean);
@@ -146,7 +144,6 @@ bool decode_request(const std::string& payload, Request& req) {
   req.spent_us = r.i64();
   req.total_us = r.i64();
   req.time_limit_us = r.i64();
-  req.racing_floor_ms = r.f64();
   req.top_up = r.u8() != 0;
   req.incumbent_count = r.u64();
   req.incumbent_mean = r.f64();
@@ -169,7 +166,6 @@ struct Reply {
   std::int64_t cache_hits_delta = 0;
   std::int64_t store_hits_delta = 0;
   std::int64_t store_appends_delta = 0;
-  double racing_floor_ms = 0.0;
   FaultStats stats_delta;
   std::vector<double> times_ms;
   /// Per-repetition metric matrix, rows aligned with times_ms; doubles
@@ -228,7 +224,6 @@ std::string encode_reply(const Reply& reply) {
   append_i64(p, reply.cache_hits_delta);
   append_i64(p, reply.store_hits_delta);
   append_i64(p, reply.store_appends_delta);
-  append_f64(p, reply.racing_floor_ms);
   append_stats(p, reply.stats_delta);
   append_u32(p, static_cast<std::uint32_t>(reply.times_ms.size()));
   for (const double t : reply.times_ms) append_f64(p, t);
@@ -256,7 +251,6 @@ bool decode_reply(const std::string& payload, Reply& reply) {
   reply.cache_hits_delta = r.i64();
   reply.store_hits_delta = r.i64();
   reply.store_appends_delta = r.i64();
-  reply.racing_floor_ms = r.f64();
   if (!read_stats(r, reply.stats_delta)) return false;
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxFrameBytes / sizeof(double)) return false;
@@ -589,7 +583,6 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     FaultStats stats_before;
     if (runner_ != nullptr) {
       runner_->set_time_limit(SimTime::micros(req.time_limit_us));
-      runner_->set_racing_floor_ms(req.racing_floor_ms);
       runs_before = runner_->runs_executed();
       hits_before = runner_->cache_hits();
       store_hits_before = runner_->store_hits();
@@ -632,7 +625,6 @@ void SandboxedEvaluator::spawn(Worker& worker) {
       reply.store_hits_delta = runner_->store_hits() - store_hits_before;
       reply.store_appends_delta =
           runner_->store_appends() - store_appends_before;
-      reply.racing_floor_ms = runner_->racing_floor_ms();
       FaultStats delta = runner_->stats();
       delta.transient -= stats_before.transient;
       delta.deterministic -= stats_before.deterministic;
@@ -793,7 +785,6 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
                                    : SimTime::infinite().as_micros();
   req.time_limit_us = runner_ != nullptr ? runner_->time_limit().as_micros()
                                          : SimTime::infinite().as_micros();
-  req.racing_floor_ms = runner_ != nullptr ? runner_->racing_floor_ms() : 0.0;
   req.top_up = hints.top_up;
   req.incumbent_count = static_cast<std::uint64_t>(hints.incumbent.count);
   req.incumbent_mean = hints.incumbent.mean;
@@ -888,9 +879,6 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
   if (!m.times_ms.empty()) m.summary = summarize(m.times_ms);
   if (budget != nullptr && reply.cost_us > 0) {
     budget->charge(SimTime::micros(reply.cost_us));
-  }
-  if (runner_ != nullptr) {
-    runner_->merge_racing_floor_ms(reply.racing_floor_ms);
   }
   {
     std::lock_guard stats_lock(stats_mutex_);

@@ -34,9 +34,9 @@
 // Determinism
 //   On a fault-free run the sandboxed session is bit-identical to the
 //   in-process one at fixed seed and window: times are shipped as raw
-//   doubles, costs as exact int64 micros, the racing floor is carried
-//   request→reply and CAS-merged, and the shadow budget reproduces the
-//   runner's mid-measurement expiry cuts.
+//   doubles, costs as exact int64 micros, the dispatch-time incumbent
+//   snapshot that every racing decision reads travels in the request, and
+//   the shadow budget reproduces the runner's mid-measurement expiry cuts.
 #pragma once
 
 #include <sys/types.h>
@@ -131,9 +131,9 @@ class SandboxedEvaluator : public Evaluator {
 
   /// Links the BenchmarkRunner at the bottom of the wrapped chain (when
   /// there is one) so the sandbox can forward parent-side state the session
-  /// mutates after the fork: the post-baseline time limit and the racing
-  /// floor travel with each request, and run/cache-hit/fault-stat deltas
-  /// travel back with each reply.
+  /// mutates after the fork: the post-baseline time limit travels with
+  /// each request, and run/cache-hit/fault-stat deltas travel back with
+  /// each reply.
   void link_runner(BenchmarkRunner* runner) { runner_ = runner; }
 
   /// Attaches a trace sink (null to detach): sandbox_spawn / worker_exit /

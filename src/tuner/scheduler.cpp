@@ -29,9 +29,7 @@ void EvalScheduler::dispatch(Proposal proposal) {
   // Proposal id i commits as ResultDb row db_base_ + i, so the journal
   // record at that index — when one exists — already holds its result.
   flight.replay = db_base_ + flight.id < ctx_->replay_total();
-  if (!flight.replay && ctx_->measurement_policy().adaptive) {
-    flight.hints.incumbent = ctx_->incumbent_snapshot();
-  }
+  if (!flight.replay) flight.hints.incumbent = ctx_->incumbent_snapshot();
   if (ThreadPool* pool = ctx_->pool(); pool != nullptr && !flight.replay) {
     // The lambda must not touch the InFlight entry (the deque reallocates);
     // copy the configuration and hints into the task.

@@ -80,7 +80,7 @@ class EvalScheduler {
     /// (resume replay) instead of being measured.
     bool replay = false;
     /// Evaluation hints snapshotted at dispatch time on the control thread
-    /// (incumbent statistics for adaptive racing). Captured at dispatch —
+    /// (incumbent statistics for racing). Captured at dispatch —
     /// not at execution — so the measurement's racing decisions depend only
     /// on the deterministic dispatch order, never on eval_threads timing.
     EvalHints hints;

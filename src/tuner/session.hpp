@@ -45,8 +45,10 @@ struct SessionOptions {
   std::size_t inflight = 8;
   /// Simulated per-run harness overhead (JVM spawn etc.), seconds.
   double per_run_overhead_s = 2.0;
-  /// Racing factor forwarded to the search runner (see RunnerOptions);
-  /// the validation pass always uses full repetitions regardless.
+  /// First-repetition racing factor forwarded to the search runner (see
+  /// RunnerOptions): a first repetition over this many times the
+  /// dispatch-time incumbent's mean stops the candidate. The validation
+  /// pass always uses full repetitions regardless.
   double racing_factor = 0.0;
   /// The tuning objective (harness/objective.hpp, make_objective()). Null
   /// selects run_time_objective(): sessions are then bit-identical to the

@@ -37,6 +37,10 @@ TuningContext::MeasuredEval TuningContext::measure_only(
 
 IncumbentSnapshot TuningContext::incumbent_snapshot() const {
   std::lock_guard lock(mutex_);
+  return incumbent_snapshot_locked();
+}
+
+IncumbentSnapshot TuningContext::incumbent_snapshot_locked() const {
   IncumbentSnapshot snapshot;
   snapshot.count = incumbent_stat_.count();
   snapshot.mean = incumbent_stat_.mean();
@@ -67,9 +71,7 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
       std::lock_guard lock(mutex_);
       candidate = improves_locked(applied.measurement.objective(*objective_),
                                   config.fingerprint());
-      hints.incumbent.count = incumbent_stat_.count();
-      hints.incumbent.mean = incumbent_stat_.mean();
-      hints.incumbent.m2 = incumbent_stat_.m2();
+      hints.incumbent = incumbent_snapshot_locked();
     }
     if (candidate) {
       hints.top_up = true;

@@ -111,16 +111,16 @@ class TuningContext {
   // ---- adaptive measurement policy (owned by the session) ----
 
   /// Installs the session's measurement policy. With `adaptive` off
-  /// (default) the context never forwards incumbent hints and never tops
-  /// up, so behaviour is bit-identical to the fixed-repetition harness.
+  /// (default) the context never tops up, so behaviour is bit-identical to
+  /// the fixed-repetition harness.
   void set_measurement_policy(const MeasurementPolicyOptions& policy) {
     policy_ = policy;
   }
-  const MeasurementPolicyOptions& measurement_policy() const { return policy_; }
 
   /// Snapshot of the incumbent's per-repetition running statistics, for
-  /// racing comparisons inside adaptive measurements. Unusable (count 0)
-  /// until an incumbent with at least one successful repetition exists.
+  /// the racing decisions inside a measurement (the first-repetition factor
+  /// and the adaptive Welch test). Count 0 until an incumbent with at least
+  /// one successful repetition exists.
   IncumbentSnapshot incumbent_snapshot() const;
 
   // ---- durability & cancellation wiring (owned by the session) ----
@@ -155,6 +155,8 @@ class TuningContext {
   /// True (under mutex_) when `objective` would displace the incumbent
   /// under the lexicographic (objective, fingerprint) order.
   bool improves_locked(double objective, std::uint64_t fingerprint) const;
+  /// incumbent_snapshot() with mutex_ held.
+  IncumbentSnapshot incumbent_snapshot_locked() const;
 
   const Objective* objective_ = &run_time_objective();
   Evaluator* evaluator_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -199,10 +200,10 @@ TEST_F(FlagsProperty, MemoizedFingerprintMatchesReferenceFold) {
   }
 }
 
-// -0.0 == 0.0, but the two render differently ("-0" vs "0"), so a flag set
-// to -0.0 over a 0.0 default must hash its own rendering, not reuse the
-// default's hash.
-TEST(FingerprintDefaults, NegativeZeroIsNotTheDefault) {
+// -0.0 == 0.0, and the two render differently ("-0" vs "0"): set() stores
+// -0.0 as 0.0, so equal configurations hash equal and the runner cache and
+// the store keep one key for them.
+TEST(FingerprintDefaults, NegativeZeroHashesAsTheDefault) {
   FlagSpec ratio;
   ratio.name = "Ratio";
   ratio.type = FlagType::kDouble;
@@ -212,7 +213,10 @@ TEST(FingerprintDefaults, NegativeZeroIsNotTheDefault) {
   on.name = "On";
   on.type = FlagType::kBool;
   on.default_value = FlagValue(true);
-  const FlagRegistry registry({ratio, on});
+  FlagSpec offset = ratio;  // a -0.0 default is stored as 0.0 as well
+  offset.name = "Offset";
+  offset.default_value = FlagValue(-0.0);
+  const FlagRegistry registry({ratio, on, offset});
 
   const Configuration defaults(registry);
   Configuration negative_zero(registry);
@@ -220,7 +224,9 @@ TEST(FingerprintDefaults, NegativeZeroIsNotTheDefault) {
   EXPECT_TRUE(negative_zero == defaults);
   EXPECT_EQ(defaults.fingerprint(), reference_fingerprint(defaults));
   EXPECT_EQ(negative_zero.fingerprint(), reference_fingerprint(negative_zero));
-  EXPECT_NE(negative_zero.fingerprint(), defaults.fingerprint());
+  EXPECT_EQ(negative_zero.fingerprint(), defaults.fingerprint());
+  EXPECT_EQ(negative_zero.render_command_line(), "");
+  EXPECT_FALSE(std::signbit(defaults.get_double("Offset")));
 }
 
 // Pinned regression corners for the round-trip property. The sweep above

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -248,8 +249,7 @@ std::string valid_store_bytes() {
   static const std::string bytes = [] {
     set_log_level(LogLevel::kOff);
     const std::string dir = scratch("store_corpus");
-    [[maybe_unused]] const int rc =
-        std::system(("rm -rf '" + dir + "'").c_str());
+    std::filesystem::remove_all(dir);
     auto store = ResultStore::open(dir);
     WorkloadSpec w;
     w.name = "fuzz-store";
@@ -282,8 +282,8 @@ class StoreFuzz : public ::testing::Test {
   /// throw. Returns loaded/dropped counters for the distribution checks.
   StoreStats open_mutated(const std::string& bytes) {
     const std::string dir = scratch("store_case");
-    [[maybe_unused]] const int rc =
-        std::system(("rm -rf '" + dir + "'; mkdir -p '" + dir + "'").c_str());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
     spit(dir + "/store.jsonl", bytes);
     auto store = ResultStore::open(dir, {.read_only = true});
     return store->stats();

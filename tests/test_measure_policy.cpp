@@ -131,6 +131,53 @@ TEST(MeasurementPolicyTest, ConvergenceWinsOverRacingForTightLosers) {
             MeasurementPolicy::Decision::kConverged);
 }
 
+// The first-repetition racing factor (jat_tune --racing) is a rule of the
+// same policy, independent of the adaptive switch.
+
+TEST(MeasurementPolicyTest, FactorRacesOutFirstRepAboveTheIncumbentMean) {
+  MeasurementPolicyOptions off;  // the factor needs no adaptive policy
+  // One incumbent repetition is enough (the Welch test would need two).
+  MeasurementPolicy policy(off, IncumbentSnapshot{1, 100.0, 0.0}, 1.3);
+  EXPECT_EQ(policy.after_rep(stat_of({130.5})),
+            MeasurementPolicy::Decision::kRacedOut);
+  MeasurementPolicy adaptive(adaptive_options(),
+                             IncumbentSnapshot{1, 100.0, 0.0}, 1.3);
+  EXPECT_EQ(adaptive.after_rep(stat_of({130.5})),
+            MeasurementPolicy::Decision::kRacedOut);
+}
+
+TEST(MeasurementPolicyTest, FactorKeepsFirstRepAtOrBelowTheCut) {
+  const IncumbentSnapshot incumbent{3, 100.0, 2.0};
+  MeasurementPolicy policy(MeasurementPolicyOptions{}, incumbent, 1.3);
+  EXPECT_EQ(policy.after_rep(stat_of({1.3 * incumbent.mean})),
+            MeasurementPolicy::Decision::kContinue);
+  EXPECT_EQ(policy.after_rep(stat_of({90.0})),
+            MeasurementPolicy::Decision::kContinue);
+}
+
+TEST(MeasurementPolicyTest, FactorNeedsAnIncumbent) {
+  MeasurementPolicy policy(MeasurementPolicyOptions{}, IncumbentSnapshot{},
+                           1.3);
+  EXPECT_EQ(policy.after_rep(stat_of({1000.0})),
+            MeasurementPolicy::Decision::kContinue);
+}
+
+TEST(MeasurementPolicyTest, ZeroFactorDisablesTheRule) {
+  MeasurementPolicy policy(MeasurementPolicyOptions{},
+                           IncumbentSnapshot{3, 100.0, 2.0}, 0.0);
+  EXPECT_EQ(policy.after_rep(stat_of({1000.0})),
+            MeasurementPolicy::Decision::kContinue);
+}
+
+TEST(MeasurementPolicyTest, FactorAppliesToTheFirstRepetitionOnly) {
+  MeasurementPolicy policy(MeasurementPolicyOptions{},
+                           IncumbentSnapshot{3, 100.0, 2.0}, 1.3);
+  EXPECT_EQ(policy.after_rep(stat_of({1000.0, 1000.0})),
+            MeasurementPolicy::Decision::kContinue);
+  EXPECT_EQ(policy.after_rep(stat_of({1000.0, 1000.0, 1000.0})),
+            MeasurementPolicy::Decision::kContinue);
+}
+
 // ---------------------------------------------------------------------------
 // Runner integration
 

@@ -244,6 +244,28 @@ TEST_F(SandboxTest, SessionOutcomeIsBitIdenticalWithoutFaults) {
       matrix);
 }
 
+// The first-repetition racing factor reads only the incumbent snapshot in
+// the request frame, so a sandboxed racing session matches the in-process
+// one bit for bit, whichever worker measured what before.
+TEST_F(SandboxTest, FactorRacedSessionMatchesInProcessBitForBit) {
+  SessionOptions base;
+  base.budget = SimTime::minutes(12);
+  base.seed = 41;
+  base.repetitions = 3;
+  base.racing_factor = 1.3;
+  DeterminismMatrix matrix;
+  matrix.compare_stop = true;
+  matrix.cases = {{.eval_threads = 0, .sandbox = true, .sandbox_workers = 3}};
+  const TuningOutcome reference = run_determinism_matrix(
+      sim_, workload_, base, [] { return std::make_unique<HierarchicalTuner>(); },
+      matrix);
+  std::size_t raced = 0;
+  for (std::size_t i = 0; i < reference.db->size(); ++i) {
+    if (reference.db->get(i).stop == StopReason::kRacedOut) ++raced;
+  }
+  EXPECT_GT(raced, 0u);  // the session actually exercised the factor
+}
+
 // The adaptive measurement policy crosses the process boundary whole:
 // incumbent snapshots ride the request frame, stop reasons ride the reply,
 // and top-ups route to the worker holding the cached partial — so the

@@ -54,8 +54,10 @@ std::unique_ptr<SearchStrategy> make_strategy(const std::string& name) {
 
 /// Smoke-scale options under which the determinism contract is exact:
 /// single repetitions keep each measurement atomic against mid-measurement
-/// budget expiry, and racing off removes the one interleaving-dependent
-/// early-stop (both documented in tuner/strategy.hpp).
+/// budget expiry, whose check between repetitions still reads the live
+/// shared clock (BenchmarkRunner::measure_uncached). Racing reads only the dispatch-time incumbent
+/// snapshot, but it needs repetitions > 1 to cut anything, so a threaded
+/// racing arm would inherit that expiry dependence; it stays off here.
 SessionOptions smoke_options(std::size_t eval_threads) {
   SessionOptions options;
   options.budget = SimTime::minutes(8);

@@ -104,7 +104,9 @@ void usage() {
       "  --kill-after-evals N  raise SIGKILL after the Nth journal append\n"
       "                      (deterministic crash injection for recovery tests)\n"
       "  --replay FILE       re-measure a saved .flags file on --workload\n"
-      "  --racing            abandon clearly-losing candidates after 1 rep\n"
+      "  --racing            abandon a candidate after 1 rep when that rep is\n"
+      "                      over 1.3x the incumbent's mean (positive-scale\n"
+      "                      objectives only)\n"
       "  --adaptive-reps N   confidence-driven repetitions: stop a candidate\n"
       "                      early once its CI95 converges, abandon it when a\n"
       "                      Welch test says it is worse than the incumbent,\n"
